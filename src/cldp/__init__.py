@@ -14,7 +14,6 @@ from .histogram import (
     FeatureHistogram,
     SchemeError,
     SchemeExpr,
-    bin_index,
     build_histogram,
     component_bins,
     format_histogram_csv_row,
@@ -22,17 +21,13 @@ from .histogram import (
     histogram_from_bytes,
     histogram_to_bytes,
     parse_scheme,
-    read_histogram_binary,
     scheme_dimension,
-    write_histogram_binary,
-    write_histograms_csv,
 )
 from .image import (
     FormatError,
     GrayImage,
     Manifest,
     ManifestError,
-    image_mean,
     load_bmp8,
     load_image,
     load_manifest,
@@ -45,21 +40,13 @@ from .patterns import (
     Riu2Mapper,
     canonical_intensity,
     code_space_stats,
-    encode_center,
-    encode_derivative,
-    encode_magnitude,
-    encode_sign,
     export_map_pgm,
     extract_maps,
-    riu2_bin,
-    transitions,
 )
 from .sampler import (
-    NeighborhoodSample,
     NeighborOffset,
     SamplingGeometry,
     make_geometry,
-    sample_at,
     valid_region,
 )
 from .suite import (
@@ -100,7 +87,6 @@ __all__ = [
     "MatrixReport",
     "ModelSet",
     "NeighborOffset",
-    "NeighborhoodSample",
     "PatternMaps",
     "Riu2Mapper",
     "SamplingGeometry",
@@ -110,17 +96,12 @@ __all__ = [
     "SuiteSpec",
     "atomic_write_bytes",
     "atomic_write_text",
-    "bin_index",
     "build_histogram",
     "canonical_intensity",
     "chi_square",
     "classify",
     "code_space_stats",
     "component_bins",
-    "encode_center",
-    "encode_derivative",
-    "encode_magnitude",
-    "encode_sign",
     "evaluate",
     "export_map_pgm",
     "extract_maps",
@@ -129,7 +110,6 @@ __all__ = [
     "histogram_for_file",
     "histogram_from_bytes",
     "histogram_to_bytes",
-    "image_mean",
     "load_bmp8",
     "load_image",
     "load_manifest",
@@ -140,15 +120,9 @@ __all__ = [
     "make_synthetic_suite",
     "normalize_image",
     "parse_scheme",
-    "read_histogram_binary",
-    "riu2_bin",
     "run_matrix",
     "run_suite",
-    "sample_at",
     "save_pgm",
     "scheme_dimension",
-    "transitions",
     "valid_region",
-    "write_histogram_binary",
-    "write_histograms_csv",
 ]

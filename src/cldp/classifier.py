@@ -86,21 +86,30 @@ def _distances_to_models(bins: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def classify(t, models: ModelSet):
-    """Return (label, source_index, distance) of the nearest model.
+def _nearest(t, models: ModelSet):
+    """Index of the nearest model, the indices of every model at the minimum
+    distance, and the distances to all models.
 
     Exact distance ties go to the model with the lowest source index.
     """
     bins = _bins_of(t)
     if bins.shape != models.matrix.shape[1:]:
         raise ValueError(
-            f"test histogram length {bins.shape[0]} does not match models "
+            f"test histogram length {bins.size} does not match models "
             f"({models.matrix.shape[1]})"
         )
     d = _distances_to_models(bins, models.matrix)
-    best = d.min()
-    candidates = np.flatnonzero(d == best)
+    candidates = np.flatnonzero(d == d.min())
     winner = candidates[np.argmin(models.source_indices[candidates])]
+    return winner, candidates, d
+
+
+def classify(t, models: ModelSet):
+    """Return (label, source_index, distance) of the nearest model.
+
+    Exact distance ties go to the model with the lowest source index.
+    """
+    winner, _, d = _nearest(t, models)
     return int(models.labels[winner]), int(models.source_indices[winner]), float(d[winner])
 
 
@@ -172,11 +181,7 @@ def evaluate(tests, models: ModelSet, suite: str = "",
     correct = 0
     ties = 0
     for hist, true_label in tests:
-        bins = _bins_of(hist)
-        d = _distances_to_models(bins, models.matrix)
-        best = d.min()
-        candidates = np.flatnonzero(d == best)
-        winner = candidates[np.argmin(models.source_indices[candidates])]
+        winner, candidates, _ = _nearest(hist, models)
         predicted = int(models.labels[winner])
         if len(set(models.labels[candidates].tolist())) > 1:
             ties += 1

@@ -3,7 +3,7 @@
 Exit codes are a stable contract for scripting: 0 success, 1 input or
 usage error, 2 experiment failure (absent dataset, failed benchmark cell,
 corrupt cache). The CLDP_CACHE_DIR environment variable supplies the
-default --cache-dir. All file outputs are written atomically.
+default --cache-dir. Features, reports and tables are written atomically.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .histogram import format_histogram_csv_row, histogram_to_bytes, parse_scheme
@@ -29,6 +28,7 @@ from .suite import (
     load_matrix_config,
     load_suite_config,
     make_synthetic_suite,
+    map_ordered,
     run_matrix,
     run_suite,
 )
@@ -58,17 +58,6 @@ def _guess_manifest_format(path: str):
     return _MANIFEST_EXT.get(os.path.splitext(path)[1].lower())
 
 
-def _map_ordered(fn, tasks, workers: int):
-    """Apply fn over tasks preserving order; output is identical for any
-    worker count."""
-    if workers < 1:
-        workers = os.cpu_count() or 1
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _emit_text(text: str, out) -> None:
     if out:
         atomic_write_text(out, text)
@@ -92,7 +81,7 @@ def cmd_extract(args) -> int:
 
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
     normalized = args.normalize is not None
-    hists = _map_ordered(
+    hists = map_ordered(
         lambda t: histogram_for_file(t[0], t[2], expr, args.P, args.R, cache, normalized),
         tasks,
         args.workers,

@@ -133,24 +133,6 @@ def scheme_dimension(scheme: SchemeExpr, P: int) -> int:
     return sum(group_dimension(g, P) for g in scheme.groups)
 
 
-def bin_index(group, values, P: int) -> int:
-    """Row-major joint index of one group's component values.
-
-    values must align with the group's written order; each value is checked
-    against its component's bin width.
-    """
-    if len(values) != len(group):
-        raise ValueError(f"expected {len(group)} values for group {group}, got {len(values)}")
-    idx = 0
-    for comp, v in zip(group, values):
-        b = component_bins(comp, P)
-        v = int(v)
-        if not 0 <= v < b:
-            raise ValueError(f"value {v} out of range [0,{b}) for component {comp}")
-        idx = idx * b + v
-    return idx
-
-
 @dataclass(frozen=True)
 class FeatureHistogram:
     """A concatenated per-group histogram for one image.
@@ -211,14 +193,6 @@ def format_histogram_csv_row(path: str, label: int, hist: FeatureHistogram) -> s
     return f"{head},{body}"
 
 
-def write_histograms_csv(rows, path) -> None:
-    """Write (path, label, FeatureHistogram) rows as CSV, one line per image."""
-    with open(path, "w", encoding="ascii") as fh:
-        for sample_path, label, hist in rows:
-            fh.write(format_histogram_csv_row(sample_path, label, hist))
-            fh.write("\n")
-
-
 def histogram_to_bytes(hist: FeatureHistogram) -> bytes:
     """Serialize to the compact binary form.
 
@@ -264,12 +238,3 @@ def histogram_from_bytes(data: bytes, scheme: SchemeExpr) -> FeatureHistogram:
     bins.flags.writeable = False
     return FeatureHistogram(scheme=scheme, P=int(P), R=float(R), bins=bins, dims=tuple(dims))
 
-
-def write_histogram_binary(hist: FeatureHistogram, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(histogram_to_bytes(hist))
-
-
-def read_histogram_binary(path, scheme: SchemeExpr) -> FeatureHistogram:
-    with open(path, "rb") as fh:
-        return histogram_from_bytes(fh.read(), scheme)

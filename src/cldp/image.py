@@ -205,11 +205,6 @@ def load_image(path) -> GrayImage:
     raise FormatError(f"unsupported image extension {ext!r} for {path}")
 
 
-def image_mean(img: GrayImage) -> float:
-    """Mean intensity over every pixel of the image."""
-    return float(np.mean(img.pixels))
-
-
 def normalize_image(img: GrayImage, mean: float = 128.0, std: float = 20.0) -> GrayImage:
     """Affinely shift the image to a target mean and standard deviation.
 

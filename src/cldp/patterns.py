@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage, save_pgm
-from .sampler import NeighborhoodSample, make_geometry, plane_diffs, valid_region
+from .sampler import make_geometry, plane_diffs, valid_region
 
 _M1 = np.uint32(0x55555555)
 _M2 = np.uint32(0x33333333)
@@ -36,28 +36,6 @@ def _popcount_u32(codes: np.ndarray) -> np.ndarray:
     x = x + (x >> np.uint32(8))
     x = x + (x >> np.uint32(16))
     return (x & np.uint32(0x3F)).astype(np.uint8)
-
-
-def _check_code(bits: int, P: int) -> None:
-    if int(P) != P or P < 1:
-        raise ValueError(f"P must be a positive integer, got {P}")
-    if not 0 <= bits < (1 << P):
-        raise ValueError(f"code {bits} out of range for P={P}")
-
-
-def transitions(bits: int, P: int) -> int:
-    """Number of circular 0/1 transitions in a P-bit code."""
-    _check_code(bits, P)
-    mask = (1 << P) - 1
-    rot = ((bits << 1) | (bits >> (P - 1))) & mask
-    return int(bin(bits ^ rot).count("1"))
-
-
-def riu2_bin(bits: int, P: int) -> int:
-    """Rotation-invariant uniform bin: popcount if transitions <= 2, else P+1."""
-    if transitions(bits, P) <= 2:
-        return int(bin(bits).count("1"))
-    return P + 1
 
 
 class Riu2Mapper:
@@ -97,12 +75,6 @@ class Riu2Mapper:
         trans = _popcount_u32(c ^ rot)
         ones = _popcount_u32(c)
         return np.where(trans <= 2, ones, np.uint8(self.P + 1)).astype(np.uint8)
-
-    def map_code(self, bits: int) -> int:
-        _check_code(bits, self.P)
-        if self.table is not None:
-            return int(self.table[bits])
-        return riu2_bin(bits, self.P)
 
     def map_array(self, codes: np.ndarray) -> np.ndarray:
         codes = np.asarray(codes)
@@ -154,50 +126,6 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     for p in range(P):
         codes |= bits[p].astype(np.uint32) << np.uint32(p)
     return codes
-
-
-def encode_sign(sample: NeighborhoodSample) -> int:
-    """Sign code of one neighborhood: bit p set iff diffs[p] >= 0."""
-    bits = 0
-    for p, d in enumerate(sample.diffs):
-        if d >= 0.0:
-            bits |= 1 << p
-    return bits
-
-
-def encode_magnitude(sample: NeighborhoodSample, c_m: float) -> int:
-    """Magnitude code: bit p set iff |diffs[p]| >= c_m."""
-    if not c_m >= 0.0:
-        raise ValueError(f"magnitude threshold must be >= 0, got {c_m}")
-    bits = 0
-    for p, d in enumerate(sample.diffs):
-        if abs(d) >= c_m:
-            bits |= 1 << p
-    return bits
-
-
-def encode_derivative(outer: NeighborhoodSample, inner: NeighborhoodSample) -> int:
-    """Radial derivative code: XOR of the two circles' sign bits per direction.
-
-    Both samples must come from the same center with the same P; the result
-    is symmetric in its arguments and zero when the signs agree everywhere.
-    """
-    if len(outer.diffs) != len(inner.diffs):
-        raise ValueError(
-            f"mismatched P: {len(outer.diffs)} vs {len(inner.diffs)}"
-        )
-    if outer.center != inner.center:
-        raise ValueError("derivative needs both circles around the same center")
-    bits = 0
-    for p in range(len(outer.diffs)):
-        if (outer.diffs[p] >= 0.0) != (inner.diffs[p] >= 0.0):
-            bits |= 1 << p
-    return bits
-
-
-def encode_center(g_c: float, c_I: float) -> int:
-    """Center bit: 1 iff the center intensity is >= the global threshold."""
-    return 1 if g_c >= c_I else 0
 
 
 def canonical_intensity(pixels: np.ndarray):

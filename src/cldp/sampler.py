@@ -46,14 +46,6 @@ class NeighborOffset:
     w10: float
     w11: float
 
-    def taps(self):
-        return (
-            (self.x0, self.y0, self.w00),
-            (self.x1, self.y0, self.w01),
-            (self.x0, self.y1, self.w10),
-            (self.x1, self.y1, self.w11),
-        )
-
 
 @dataclass(frozen=True)
 class SamplingGeometry:
@@ -64,15 +56,6 @@ class SamplingGeometry:
     @property
     def margin(self) -> int:
         return int(math.ceil(self.R))
-
-
-@dataclass(frozen=True)
-class NeighborhoodSample:
-    """Sampled values around one center: diffs[p] == neighbors[p] - center."""
-
-    center: float
-    neighbors: np.ndarray
-    diffs: np.ndarray
 
 
 def _axis_taps(coord: float):
@@ -155,40 +138,15 @@ def valid_region(img, R: float):
     return (m, m, x1, y1)
 
 
-def sample_at(img, geom: SamplingGeometry, x: int, y: int) -> NeighborhoodSample:
-    """Sample the P neighbors around center (x, y).
-
-    The center must lie inside the valid region for geom.R. Differences are
-    interpolated directly from tap-minus-center values, so flat patches give
-    exact zeros and adding an integer constant to the image leaves diffs
-    bitwise unchanged.
-    """
-    m = geom.margin
-    if not (m <= x < img.width - m and m <= y < img.height - m):
-        raise ValueError(
-            f"center ({x},{y}) outside valid region of "
-            f"{img.width}x{img.height} image at R={geom.R}"
-        )
-    px = img.pixels
-    c = px[y, x]
-    diffs = np.empty(geom.P, dtype=np.float64)
-    for p, o in enumerate(geom.offsets):
-        d00 = px[y + o.y0, x + o.x0] - c
-        d01 = px[y + o.y0, x + o.x1] - c
-        d10 = px[y + o.y1, x + o.x0] - c
-        d11 = px[y + o.y1, x + o.x1] - c
-        diffs[p] = (o.w00 * d00 + o.w11 * d11) + (o.w01 * d01 + o.w10 * d10)
-    neighbors = c + diffs
-    return NeighborhoodSample(center=float(c), neighbors=neighbors, diffs=diffs)
-
-
 def plane_diffs(pixels: np.ndarray, geom: SamplingGeometry, margin: int):
-    """Vectorized twin of sample_at over the whole valid region.
+    """Interpolated neighbor-minus-center differences over the valid region.
 
     Returns (diffs, centers) where diffs has shape (P, Hv, Wv). The margin is
     passed in (instead of derived from geom) so an inner circle can be sampled
-    over the valid region of the outer one. Term order matches sample_at
-    exactly, which keeps scalar and vectorized paths bit-identical.
+    over the valid region of the outer one. Differences are interpolated
+    directly from tap-minus-center values, so flat patches give exact zeros
+    and adding an integer constant to an integer image leaves diffs bitwise
+    unchanged.
     """
     h, w = pixels.shape
     hv = h - 2 * margin

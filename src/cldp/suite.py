@@ -12,7 +12,7 @@ scheme sweeps never decode or resample an image twice:
   <cache>/<key[:2]>/<key>.maps   pattern maps per (image, P, R)
   <cache>/<key[:2]>/<key>.hist   histogram per (image, P, R, scheme)
 
-Cache entries embed a digest (maps) or a fully validated header (hist);
+Both kinds of cache entry end in a SHA-256 digest of their payload;
 corruption is a hard error naming the sample rather than a silent recompute.
 """
 
@@ -77,6 +77,21 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def map_ordered(fn, items, workers: int) -> list:
+    """Apply fn to every item on up to workers threads, results in item order.
+
+    workers None or < 1 means one thread per CPU core. The output is
+    identical for any worker count; the first failing item, in item order,
+    raises.
+    """
+    if workers is None or workers < 1:
+        workers = os.cpu_count() or 1
+    if workers == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 class SuiteSpec:
@@ -180,11 +195,27 @@ _mappers: dict = {}
 
 
 def _shared_mapper(P: int) -> Riu2Mapper:
-    # LUT construction for P=24 is ~16 MB; build each table once per process.
+    # Up to P=16 a mapper builds a 2**P-entry lookup table; build each once
+    # per process rather than once per image.
     mapper = _mappers.get(P)
     if mapper is None:
         mapper = _mappers.setdefault(P, Riu2Mapper(P))
     return mapper
+
+
+def _seal(payload: bytes) -> bytes:
+    """Frame a cache entry: the payload followed by its SHA-256 digest."""
+    return payload + hashlib.sha256(payload).digest()
+
+
+def _unseal(data: bytes) -> bytes:
+    """Return the payload of a sealed entry, or raise if the digest disagrees."""
+    if len(data) < 32:
+        raise CacheError("truncated cache entry")
+    payload, digest = data[:-32], data[-32:]
+    if hashlib.sha256(payload).digest() != digest:
+        raise CacheError("digest mismatch")
+    return payload
 
 
 def _maps_to_bytes(maps: PatternMaps) -> bytes:
@@ -200,18 +231,12 @@ def _maps_to_bytes(maps: PatternMaps) -> bytes:
     if maps.derivative is not None:
         planes.append(maps.derivative.tobytes())
     planes.append(maps.center.tobytes())
-    payload = header + b"".join(planes)
-    return payload + hashlib.sha256(payload).digest()
+    return header + b"".join(planes)
 
 
-def _maps_from_bytes(data: bytes, P: int, R: float) -> PatternMaps:
-    if data[: len(_MAPS_MAGIC)] != _MAPS_MAGIC:
+def _maps_from_bytes(payload: bytes, P: int, R: float) -> PatternMaps:
+    if payload[: len(_MAPS_MAGIC)] != _MAPS_MAGIC:
         raise CacheError("bad maps magic")
-    if len(data) < 32:
-        raise CacheError("truncated maps entry")
-    payload, digest = data[:-32], data[-32:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise CacheError("maps digest mismatch")
     off = len(_MAPS_MAGIC)
     fields = struct.unpack_from("<IdB4I4dII", payload, off)
     off += struct.calcsize("<IdB4I4dII")
@@ -257,36 +282,33 @@ class FeatureCache:
 
     @staticmethod
     def hist_key(file_hash: str, P: int, R: float, scheme: SchemeExpr, normalized: bool) -> str:
-        raw = f"{file_hash}|hist|P={P}|R={R!r}|scheme={scheme}|norm={int(normalized)}"
+        # "hist2": entries carry a digest; older unsealed entries are misses.
+        raw = f"{file_hash}|hist2|P={P}|R={R!r}|scheme={scheme}|norm={int(normalized)}"
         return hashlib.sha256(raw.encode("ascii")).hexdigest()
 
-    def load_maps(self, key: str, P: int, R: float, sample: str) -> PatternMaps | None:
-        path = self._path(key, "maps")
+    def _load(self, key: str, kind: str, sample: str, parse):
+        """parse(payload) of a sealed entry, or None when there is no entry."""
+        path = self._path(key, kind)
         if not os.path.exists(path):
             return None
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            return _maps_from_bytes(data, P, R)
-        except CacheError as err:
+            return parse(_unseal(data))
+        except (CacheError, ValueError) as err:
             raise CacheError(f"corrupt cache entry for sample {sample}: {err}") from None
+
+    def load_maps(self, key: str, P: int, R: float, sample: str) -> PatternMaps | None:
+        return self._load(key, "maps", sample, lambda payload: _maps_from_bytes(payload, P, R))
 
     def store_maps(self, key: str, maps: PatternMaps) -> None:
-        atomic_write_bytes(self._path(key, "maps"), _maps_to_bytes(maps))
+        atomic_write_bytes(self._path(key, "maps"), _seal(_maps_to_bytes(maps)))
 
     def load_hist(self, key: str, scheme: SchemeExpr, sample: str) -> FeatureHistogram | None:
-        path = self._path(key, "hist")
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            return histogram_from_bytes(data, scheme)
-        except ValueError as err:
-            raise CacheError(f"corrupt cache entry for sample {sample}: {err}") from None
+        return self._load(key, "hist", sample, lambda payload: histogram_from_bytes(payload, scheme))
 
     def store_hist(self, key: str, hist: FeatureHistogram) -> None:
-        atomic_write_bytes(self._path(key, "hist"), histogram_to_bytes(hist))
+        atomic_write_bytes(self._path(key, "hist"), _seal(histogram_to_bytes(hist)))
 
 
 def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: float,
@@ -349,27 +371,18 @@ def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
         raise SuiteError(f"scheme {scheme_text} needs the derivative, which needs R >= 2 (got R={R})")
     with_derivative = float(R) >= 2.0
     cache = FeatureCache(cache_dir) if cache_dir else None
-    if workers is None or workers < 1:
-        workers = os.cpu_count() or 1
-
-    def run_all(manifest: Manifest):
-        tasks = [(rel, label, manifest.abs_path(rel)) for rel, label in manifest.entries]
-        if workers == 1:
-            return [
-                (histogram_for_file(rel, ap, expr, P, R, cache, normalize, with_derivative), label)
-                for rel, label, ap in tasks
-            ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hists = pool.map(
-                lambda t: histogram_for_file(t[0], t[2], expr, P, R, cache, normalize, with_derivative),
-                tasks,
-            )
-            return [(h, label) for h, (rel, label, ap) in zip(hists, tasks)]
-
-    train_pairs = run_all(spec.train)
-    test_pairs = run_all(spec.test)
-    models = ModelSet([h for h, _ in train_pairs], [l for _, l in train_pairs])
-    return evaluate(test_pairs, models, suite=spec.name, scheme=scheme_text)
+    tasks = [(rel, label, manifest.abs_path(rel))
+             for manifest in (spec.train, spec.test) for rel, label in manifest.entries]
+    hists = map_ordered(
+        lambda t: histogram_for_file(t[0], t[2], expr, P, R, cache, normalize, with_derivative),
+        tasks,
+        workers,
+    )
+    labels = [label for _, label, _ in tasks]
+    n_train = len(spec.train)
+    models = ModelSet(hists[:n_train], labels[:n_train])
+    return evaluate(list(zip(hists[n_train:], labels[n_train:])), models,
+                    suite=spec.name, scheme=scheme_text)
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,17 @@ def test_classify_validates_length():
     models = ModelSet([[1.0, 0.0]], [0])
     with pytest.raises(ValueError, match="length"):
         classify([1.0, 0.0, 0.0], models)
+    with pytest.raises(ValueError, match="length"):
+        classify(1.0, models)
+
+
+def test_evaluate_validates_length():
+    # A length-1 histogram would broadcast against every model's bins.
+    models = ModelSet([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0, 1])
+    with pytest.raises(ValueError, match="length"):
+        evaluate([([0.5], 0)], models)
+    with pytest.raises(ValueError, match="length"):
+        evaluate([([0.5, 0.5, 0.0], 0), ([0.5, 0.5], 1)], models)
 
 
 def test_model_set_validation():

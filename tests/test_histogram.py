@@ -3,8 +3,8 @@ import pytest
 
 from cldp import (
     FeatureHistogram,
+    PatternMaps,
     SchemeError,
-    bin_index,
     build_histogram,
     component_bins,
     extract_maps,
@@ -12,9 +12,7 @@ from cldp import (
     histogram_from_bytes,
     histogram_to_bytes,
     parse_scheme,
-    read_histogram_binary,
     scheme_dimension,
-    write_histogram_binary,
 )
 from conftest import gray, random_8bit
 
@@ -83,19 +81,23 @@ def test_scheme_dimension(text, P, dim):
     assert scheme_dimension(parse_scheme(text), P) == dim
 
 
+def _one_pixel_maps(S, M, D, C, P=8):
+    def plane(v):
+        return np.full((1, 1), v, dtype=np.uint8)
+
+    return PatternMaps(P=P, R=2.0, region=(2, 2, 2, 2), sign=plane(S), magnitude=plane(M),
+                       derivative=plane(D), center=plane(C), c_m=0.0, c_I=0.0,
+                       intensity_lo=0.0, intensity_hi=0.0)
+
+
 def test_bin_index_examples():
-    assert bin_index(("S", "M", "D", "C"), (9, 9, 9, 1), 8) == 1999
-    assert bin_index(("M", "C"), (3, 1), 8) == 7
-    assert bin_index(("S",), (0,), 8) == 0
-
-
-def test_bin_index_validates():
-    with pytest.raises(ValueError):
-        bin_index(("S", "C"), (0,), 8)
-    with pytest.raises(ValueError):
-        bin_index(("S",), (10,), 8)
-    with pytest.raises(ValueError):
-        bin_index(("C",), (2,), 8)
+    """Joint bins flatten row-major in written order."""
+    top = build_histogram(_one_pixel_maps(9, 9, 9, 1), parse_scheme("S/M/D/C"))
+    assert np.flatnonzero(top.bins).tolist() == [1999]
+    mc = build_histogram(_one_pixel_maps(0, 3, 0, 1), parse_scheme("M/C"))
+    assert np.flatnonzero(mc.bins).tolist() == [7]
+    s = build_histogram(_one_pixel_maps(0, 3, 0, 1), parse_scheme("S"))
+    assert np.flatnonzero(s.bins).tolist() == [0]
 
 
 def test_constant_image_joint_histogram():
@@ -167,14 +169,12 @@ def test_csv_row_format():
     assert [float(v) for v in fields[5:]] == hist.bins.tolist()
 
 
-def test_binary_round_trip_bitwise(tmp_path):
+def test_binary_round_trip_bitwise():
     rng = np.random.default_rng(45)
     maps = extract_maps(gray(random_8bit(rng, 20, 20)), 8, 2.0)
     scheme = parse_scheme("S_D_M/C")
     hist = build_histogram(maps, scheme)
-    path = tmp_path / "h.bin"
-    write_histogram_binary(hist, path)
-    back = read_histogram_binary(path, scheme)
+    back = histogram_from_bytes(histogram_to_bytes(hist), scheme)
     assert back.bins.tobytes() == hist.bins.tobytes()
     assert (back.P, back.R, back.dims) == (hist.P, hist.R, hist.dims)
 

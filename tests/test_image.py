@@ -7,7 +7,7 @@ from cldp import (
     FormatError,
     GrayImage,
     ManifestError,
-    image_mean,
+    extract_maps,
     load_bmp8,
     load_image,
     load_manifest,
@@ -134,15 +134,16 @@ def test_load_image_dispatch(tmp_path):
 # -- statistics ----------------------------------------------------------
 
 def test_image_mean_examples():
-    assert image_mean(gray(np.full((5, 4), 7.0))) == 7.0
-    assert image_mean(gray([[0, 0], [255, 255]])) == 127.5
-    assert image_mean(gray(np.arange(9.0).reshape(3, 3))) == 4.0
-
-
-def test_image_mean_shifts_with_constant():
-    rng = np.random.default_rng(11)
-    arr = rng.uniform(0, 255, size=(6, 6))
-    assert image_mean(gray(arr + 10.0)) == pytest.approx(image_mean(gray(arr)) + 10.0, abs=1e-12)
+    # The center threshold c_I is the mean canonical intensity over every
+    # pixel, margin included: a bright 1-pixel frame around a dark 6x6
+    # interior gives 28/64 although no valid center is bright.
+    arr = np.full((8, 8), 255.0)
+    arr[1:7, 1:7] = 0.0
+    maps = extract_maps(gray(arr), 8, 1.0, derivative=False)
+    assert maps.c_I == 28.0 / 64.0
+    assert np.all(maps.center == 0)
+    assert extract_maps(gray([[0, 0, 0], [0, 255, 0], [0, 0, 0]]), 4, 1.0,
+                        derivative=False).c_I == 1.0 / 9.0
 
 
 def test_normalize_image_hits_target_moments():

@@ -2,47 +2,42 @@ import numpy as np
 import pytest
 
 from cldp import (
-    GrayImage,
     Riu2Mapper,
     canonical_intensity,
     code_space_stats,
-    encode_center,
-    encode_derivative,
-    encode_magnitude,
-    encode_sign,
     export_map_pgm,
     extract_maps,
     load_pgm,
-    make_geometry,
-    riu2_bin,
-    sample_at,
-    transitions,
 )
 from conftest import gray, random_8bit
 
 
 def test_transitions_examples():
-    assert transitions(0b00000000, 8) == 0
-    assert transitions(0b11111111, 8) == 0
-    assert transitions(0b00000001, 8) == 2
-    assert transitions(0b01010101, 8) == 8
-    assert transitions(0b00011100, 8) == 2
+    """A code with at most two circular transitions maps to its popcount,
+    any other code to the catch-all bin P+1."""
+    codes = np.array([0b00000000, 0b11111111, 0b00000001, 0b01010101, 0b00011100],
+                     dtype=np.uint32)  # transitions 0, 0, 2, 8, 2
+    for strategy in ("lut", "direct"):
+        assert Riu2Mapper(8, strategy).map_array(codes).tolist() == [0, 8, 1, 9, 3]
 
 
 def test_riu2_bin_examples():
-    assert riu2_bin(0b00011100, 8) == 3
-    assert riu2_bin(0b01010101, 8) == 9
-    assert riu2_bin(0, 8) == 0
-    assert riu2_bin(0xFF, 8) == 8
+    # 0x8001 is a run of two ones that wraps from bit 15 to bit 0
+    for strategy in ("lut", "direct"):
+        got = Riu2Mapper(16, strategy).map_array(np.array([0x8001, 0x0101, 0xFFFF, 0x00F0]))
+        assert got.tolist() == [2, 17, 16, 4]
+    got = Riu2Mapper(24).map_array(np.array([0b111, 0xAAAAAA, 0x800001]))
+    assert got.tolist() == [3, 25, 2]
 
 
 def test_riu2_is_rotation_invariant_p8():
-    mapper = Riu2Mapper(8)
-    for code in range(256):
-        want = mapper.map_code(code)
+    codes = np.arange(256, dtype=np.uint32)
+    for strategy in ("lut", "direct"):
+        mapper = Riu2Mapper(8, strategy)
+        want = mapper.map_array(codes)
         for k in range(1, 8):
-            rolled = ((code << k) | (code >> (8 - k))) & 0xFF
-            assert mapper.map_code(rolled) == want
+            rolled = ((codes << k) | (codes >> (8 - k))) & 0xFF
+            assert np.array_equal(mapper.map_array(rolled), want)
 
 
 def test_mapper_strategies_agree_p8():
@@ -58,13 +53,12 @@ def test_mapper_default_strategy_switches_at_16():
 
 
 def test_mapper_validates_codes():
-    mapper = Riu2Mapper(8)
-    with pytest.raises(ValueError):
-        mapper.map_code(256)
-    with pytest.raises(ValueError):
-        mapper.map_code(-1)
-    with pytest.raises(ValueError):
-        mapper.map_array(np.array([0, 300], dtype=np.uint32))
+    for strategy in ("lut", "direct"):
+        mapper = Riu2Mapper(8, strategy)
+        with pytest.raises(ValueError):
+            mapper.map_array(np.array([256], dtype=np.uint32))
+        with pytest.raises(ValueError):
+            mapper.map_array(np.array([0, 300], dtype=np.uint32))
 
 
 def test_code_space_stats_p8():
@@ -81,61 +75,60 @@ def test_code_space_stats_p4():
     assert code_space_stats(4)["rotation_classes"] == 6
 
 
-def ramp_sample(P=4, R=1.0):
-    arr = np.tile(np.arange(9.0), (9, 1))  # img(x, y) = x
-    return sample_at(GrayImage(arr), make_geometry(P, R), 4, 4)
+def ramp(n=9):
+    return gray(np.tile(np.arange(float(n)), (n, 1)))  # img(x, y) = x
+
+
+def checkerboard(n=9):
+    yy, xx = np.mgrid[0:n, 0:n]
+    return gray(255.0 * ((xx + yy) % 2))
 
 
 def test_encode_sign_examples():
-    s = ramp_sample()
-    assert s.diffs.tolist() == [0.0, -1.0, 0.0, 1.0]
-    assert encode_sign(s) == 0b1101  # zero diffs code as 1
+    # P=4 on a ramp: diffs (0, -d, 0, +d) in directions down, left, up,
+    # right. Zero diffs code as 1, so the code is 0b1101 (riu2 bin 3);
+    # coding them as 0 would give 0b1000 (bin 1).
+    maps = extract_maps(ramp(), 4, 1.0, derivative=False)
+    assert np.all(maps.sign == 3)
 
 
 def test_encode_sign_all_ones_on_constant():
-    geom = make_geometry(8, 2.0)
-    s = sample_at(gray(np.full((9, 9), 3.0)), geom, 4, 4)
-    assert encode_sign(s) == 0xFF
+    for P in (4, 8, 16, 24):
+        maps = extract_maps(gray(np.full((9, 9), 3.0)), P, 2.0)
+        assert np.all(maps.sign == P)
 
 
 def test_encode_magnitude_examples():
-    s = ramp_sample()
-    assert encode_magnitude(s, 0.5) == 0b1010
-    assert encode_magnitude(s, 0.0) == 0b1111
-    assert encode_magnitude(s, 99.0) == 0
-    with pytest.raises(ValueError):
-        encode_magnitude(s, -1.0)
+    # Every |d| on a checkerboard at R=1 is 1, which is also the mean c_m:
+    # the threshold is inclusive, so every bit is set (bin P, not bin 0).
+    maps = extract_maps(checkerboard(), 4, 1.0, derivative=False)
+    assert maps.c_m == 1.0
+    assert np.all(maps.magnitude == 4)
+    # On a ramp only the left/right diffs reach c_m: code 0b1010 is not
+    # uniform and lands in the catch-all bin P+1.
+    maps = extract_maps(ramp(), 4, 1.0, derivative=False)
+    assert maps.c_m == 1.0 / 16.0
+    assert np.all(maps.magnitude == 5)
 
 
 def test_encode_derivative_is_symmetric_xor():
-    arr = np.tile(np.arange(9.0), (9, 1))
-    img = GrayImage(arr)
-    outer = sample_at(img, make_geometry(4, 2.0), 4, 4)
-    inner = sample_at(img, make_geometry(4, 1.0), 4, 4)
-    assert encode_derivative(outer, inner) == 0  # same ramp direction
-    assert encode_derivative(inner, outer) == encode_derivative(outer, inner)
-    assert encode_derivative(outer, outer) == 0
-
-
-def test_encode_derivative_validates():
-    img = gray(np.full((9, 9), 1.0))
-    a = sample_at(img, make_geometry(4, 2.0), 4, 4)
-    b = sample_at(img, make_geometry(8, 1.0), 4, 4)
-    c = sample_at(img, make_geometry(4, 1.0), 3, 3)
-    with pytest.raises(ValueError):
-        encode_derivative(a, b)
-    arr = np.arange(81.0).reshape(9, 9)
-    d = sample_at(GrayImage(arr), make_geometry(4, 2.0), 4, 4)
-    e = sample_at(GrayImage(arr), make_geometry(4, 1.0), 3, 3)
-    with pytest.raises(ValueError):
-        encode_derivative(d, e)
-    assert c is not None
+    # The ramp rises the same way at radii 1 and 2: no sign flips.
+    assert np.all(extract_maps(ramp(), 4, 2.0).derivative == 0)
+    # On a checkerboard the axis taps at R=2 match the center (sign 1) and
+    # those at R=1 do not: a white center flips every sign (0b1111, bin 4),
+    # a black center flips none.
+    maps = extract_maps(checkerboard(), 4, 2.0)
+    x0, y0, x1, y1 = maps.region
+    yy, xx = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
+    white = (xx + yy) % 2 == 1
+    assert np.array_equal(maps.derivative, np.where(white, 4, 0))
 
 
 def test_encode_center_inclusive_boundary():
-    assert encode_center(127.5, 127.5) == 1
-    assert encode_center(127.4, 127.5) == 0
-    assert encode_center(128.0, 127.5) == 1
+    # The canonical ramp x/8 has mean exactly 0.5, the value at x = 4.
+    maps = extract_maps(ramp(), 4, 1.0, derivative=False)
+    assert maps.c_I == 0.5
+    assert maps.center.tolist() == [[0, 0, 0, 1, 1, 1, 1]] * 7
 
 
 def test_canonical_intensity_affine_collapse():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cldp import GrayImage, make_geometry, sample_at, valid_region
+from cldp import make_geometry, valid_region
 from cldp.sampler import plane_diffs
 from conftest import gray, random_8bit
+from naive import naive_diffs_at, naive_offsets
 
 
 def test_make_geometry_p4_r1_snaps_to_axes():
@@ -80,61 +81,66 @@ def test_valid_region_single_center_and_empty():
 
 def test_sample_at_constant_image():
     geom = make_geometry(8, 2.0)
-    s = sample_at(gray(np.full((9, 9), 41.0)), geom, 4, 4)
-    assert s.center == 41.0
-    assert np.array_equal(s.diffs, np.zeros(8))
-    assert np.array_equal(s.neighbors, np.full(8, 41.0))
+    diffs, centers = plane_diffs(np.full((9, 9), 41.0), geom, geom.margin)
+    assert np.array_equal(centers, np.full((5, 5), 41.0))
+    assert np.array_equal(diffs, np.zeros((8, 5, 5)))
 
 
 def test_sample_at_horizontal_ramp():
     arr = np.tile(np.arange(7.0), (7, 1))  # img(x, y) = x
-    s = sample_at(gray(arr), make_geometry(4, 1.0), 3, 3)
-    assert s.diffs.tolist() == [0.0, -1.0, 0.0, 1.0]
+    diffs, _ = plane_diffs(arr, make_geometry(4, 1.0), 1)
+    for p, want in enumerate([0.0, -1.0, 0.0, 1.0]):
+        assert np.array_equal(diffs[p], np.full((5, 5), want))
 
 
 def test_sample_at_reproduces_bilinear_functions():
     yy, xx = np.mgrid[0:11, 0:11].astype(np.float64)
     arr = 2.0 * xx + 3.0 * yy + xx * yy
     geom = make_geometry(8, 1.5)
-    s = sample_at(gray(arr), geom, 5, 5)
-    for p, o in enumerate(geom.offsets):
-        x, y = 5.0 + o.dx, 5.0 + o.dy
-        assert s.neighbors[p] == pytest.approx(2.0 * x + 3.0 * y + x * y, abs=1e-9)
+    m = geom.margin
+    diffs, centers = plane_diffs(arr, geom, m)
+    for y in range(m, 11 - m):
+        for x in range(m, 11 - m):
+            for p, o in enumerate(geom.offsets):
+                sx, sy = x + o.dx, y + o.dy
+                got = centers[y - m, x - m] + diffs[p, y - m, x - m]
+                assert got == pytest.approx(2.0 * sx + 3.0 * sy + sx * sy, abs=1e-9)
 
 
 def test_sample_at_rejects_border_centers():
+    # A margin that leaves no center inside the image is an error, not an
+    # empty or out-of-bounds read.
     geom = make_geometry(8, 2.0)
-    img = gray(np.zeros((9, 9)))
-    with pytest.raises(ValueError, match="valid region"):
-        sample_at(img, geom, 1, 4)
-    with pytest.raises(ValueError, match="valid region"):
-        sample_at(img, geom, 4, 7)
+    with pytest.raises(ValueError, match="no valid centers"):
+        plane_diffs(np.zeros((9, 9)), geom, 5)
+    with pytest.raises(ValueError, match="no valid centers"):
+        plane_diffs(np.zeros((4, 9)), geom, geom.margin)
 
 
 def test_diffs_are_translation_invariant():
     rng = np.random.default_rng(5)
     arr = random_8bit(rng, 12, 12)
     geom = make_geometry(8, 2.5)
-    a = sample_at(gray(arr), geom, 6, 6)
-    b = sample_at(gray(arr + 17.0), geom, 6, 6)
-    assert np.array_equal(a.diffs, b.diffs)
-    assert b.center == a.center + 17.0
+    a_diffs, a_centers = plane_diffs(arr, geom, geom.margin)
+    b_diffs, b_centers = plane_diffs(arr + 17.0, geom, geom.margin)
+    assert np.array_equal(a_diffs, b_diffs)
+    assert np.array_equal(b_centers, a_centers + 17.0)
 
 
 @pytest.mark.parametrize("P,R", [(8, 2.0), (16, 3.0), (12, 2.0)])
 def test_plane_diffs_matches_sample_at(P, R):
+    """plane_diffs agrees bitwise with the scalar per-center oracle."""
     rng = np.random.default_rng(17)
     arr = random_8bit(rng, 14, 11)
-    img = gray(arr)
     geom = make_geometry(P, R)
     m = geom.margin
     diffs, centers = plane_diffs(arr, geom, m)
     assert diffs.shape == (P, 14 - 2 * m, 11 - 2 * m)
+    offsets = naive_offsets(P, R)
     for y in range(m, 14 - m):
         for x in range(m, 11 - m):
-            s = sample_at(img, geom, x, y)
-            assert np.array_equal(diffs[:, y - m, x - m], s.diffs)
-            assert centers[y - m, x - m] == s.center
+            assert diffs[:, y - m, x - m].tolist() == naive_diffs_at(arr, offsets, x, y)
+            assert centers[y - m, x - m] == arr[y, x]
 
 
 @pytest.mark.parametrize("P", [8, 16])
@@ -146,10 +152,12 @@ def test_rot90_shifts_neighbors_by_quarter(P):
     arr = random_8bit(rng, n, n)
     rot = np.rot90(arr).copy()  # rot[y, x] = arr[x, n-1-y]
     geom = make_geometry(P, 2.5)
+    m = geom.margin
     q = P // 4
+    a_diffs, a_centers = plane_diffs(arr, geom, m)
+    b_diffs, b_centers = plane_diffs(rot, geom, m)
     for x, y in [(7, 7), (5, 8), (9, 4)]:
-        sb = sample_at(gray(rot), geom, x, y)
-        sa = sample_at(gray(arr), geom, n - 1 - y, x)
-        assert sb.center == sa.center
-        assert np.array_equal(sb.neighbors, np.roll(sa.neighbors, -q))
-        assert np.array_equal(sb.diffs, np.roll(sa.diffs, -q))
+        ax, ay = n - 1 - y, x
+        assert b_centers[y - m, x - m] == a_centers[ay - m, ax - m]
+        assert np.array_equal(b_diffs[:, y - m, x - m],
+                              np.roll(a_diffs[:, ay - m, ax - m], -q))

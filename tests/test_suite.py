@@ -13,6 +13,7 @@ from cldp import (
     SuiteSpec,
     atomic_write_bytes,
     atomic_write_text,
+    build_histogram,
     extract_maps,
     histogram_for_file,
     load_manifest,
@@ -196,6 +197,21 @@ def test_run_suite_corrupt_cache_names_sample(tmp_path):
         path.write_bytes(b"not a histogram")
     with pytest.raises(CacheError, match="corrupt cache entry for sample c0"):
         run_suite(spec, "S", 8, 2.0, cache_dir=cache_dir)
+
+
+def test_feature_cache_rejects_flipped_histogram_bit(tmp_path):
+    rng = np.random.default_rng(61)
+    scheme = parse_scheme("S/M")
+    hist = build_histogram(extract_maps(gray(random_8bit(rng, 20, 20)), 8, 2.0), scheme)
+    cache = FeatureCache(tmp_path / "cache")
+    key = cache.hist_key("f" * 64, 8, 2.0, scheme, False)
+    cache.store_hist(key, hist)
+    path = tmp_path / "cache" / key[:2] / f"{key}.hist"
+    data = bytearray(path.read_bytes())
+    data[30] ^= 0x01  # lowest mantissa bit of bin 1, inside the payload
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheError, match="corrupt cache entry for sample x.pgm"):
+        cache.load_hist(key, scheme, "x.pgm")
 
 
 def test_cache_skips_histograms_for_fractional_radius(tmp_path):
