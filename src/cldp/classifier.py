@@ -80,9 +80,15 @@ class ModelSet:
 
 
 def _distances_to_models(bins: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    num = (matrix - bins) ** 2
+    # Two models x dim float64 temporaries, computed in place; the terms and
+    # their C-contiguous row layout, hence sum(axis=1), are those of
+    # (m - b)**2 / (m + b) with 0/0 terms set to zero.
     den = matrix + bins
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    terms = matrix - bins
+    np.square(terms, out=terms)
+    nonzero = den != 0.0
+    np.divide(terms, den, out=terms, where=nonzero)
+    np.copyto(terms, 0.0, where=~nonzero)
     return terms.sum(axis=1)
 
 
@@ -164,30 +170,40 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(tests, models: ModelSet, suite: str = "",
-             scheme: str | None = None) -> EvalReport:
-    """Classify (histogram, true_label) pairs and summarize the outcome.
+def predict(t, models: ModelSet) -> tuple:
+    """Return (label, tied) for the nearest model.
 
-    The result does not depend on test order, and only tie handling makes it
-    depend on model order; the number of ambiguous ties is reported.
+    tied is True when models of more than one class share the minimum
+    distance; the label is then that of the tied model with the lowest
+    source index.
     """
-    tests = list(tests)
-    if not tests:
+    winner, candidates, _ = _nearest(t, models)
+    tied = len(set(models.labels[candidates].tolist())) > 1
+    return int(models.labels[winner]), tied
+
+
+def summarize(truth, outcomes, models: ModelSet, suite: str = "",
+              scheme: str | None = None) -> EvalReport:
+    """Summarize the predict outcomes of test samples with these true labels.
+
+    outcomes[i] is the (label, tied) pair predict gave for the sample whose
+    class is truth[i]. The result does not depend on sample order.
+    """
+    truth = [int(lab) for lab in truth]
+    outcomes = list(outcomes)
+    if not truth:
         raise ValueError("nothing to evaluate")
-    labels = sorted(set(int(models.labels[i]) for i in range(len(models)))
-                    | {int(lab) for _, lab in tests})
+    if len(outcomes) != len(truth):
+        raise ValueError(f"{len(outcomes)} outcomes for {len(truth)} test samples")
+    labels = sorted(set(models.labels.tolist()) | set(truth))
     index_of = {lab: i for i, lab in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     correct = 0
     ties = 0
-    for hist, true_label in tests:
-        winner, candidates, _ = _nearest(hist, models)
-        predicted = int(models.labels[winner])
-        if len(set(models.labels[candidates].tolist())) > 1:
-            ties += 1
-        confusion[index_of[int(true_label)], index_of[predicted]] += 1
-        if predicted == int(true_label):
-            correct += 1
+    for true_label, (predicted, tied) in zip(truth, outcomes):
+        ties += bool(tied)
+        confusion[index_of[true_label], index_of[predicted]] += 1
+        correct += predicted == true_label
     totals = confusion.sum(axis=1)
     per_class = tuple(
         float(confusion[i, i]) / totals[i] if totals[i] else 0.0
@@ -201,9 +217,21 @@ def evaluate(tests, models: ModelSet, suite: str = "",
         scheme=scheme,
         P=int(models.P) if models.P is not None else 0,
         R=float(models.R) if models.R is not None else 0.0,
-        accuracy=correct / len(tests),
+        accuracy=correct / len(truth),
         labels=tuple(labels),
         per_class=per_class,
         confusion=confusion,
         ties=ties,
     )
+
+
+def evaluate(tests, models: ModelSet, suite: str = "",
+             scheme: str | None = None) -> EvalReport:
+    """Classify (histogram, true_label) pairs and summarize the outcome.
+
+    The result does not depend on test order, and only tie handling makes it
+    depend on model order; the number of ambiguous ties is reported.
+    """
+    tests = list(tests)
+    return summarize([lab for _, lab in tests], [predict(h, models) for h, _ in tests],
+                     models, suite=suite, scheme=scheme)

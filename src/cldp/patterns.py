@@ -78,7 +78,7 @@ class Riu2Mapper:
 
     def map_array(self, codes: np.ndarray) -> np.ndarray:
         codes = np.asarray(codes)
-        if codes.size and int(codes.max()) >= (1 << self.P):
+        if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= (1 << self.P)):
             raise ValueError(f"code out of range for P={self.P}")
         if self.table is not None:
             return self.table[codes]

@@ -6,11 +6,14 @@ suites and aggregates accuracies the way the rotation-invariance benchmark
 tables do: AVG3 over the canonical three-suite set and AVG2-TC12 over the
 two TC12 illuminant suites.
 
-Features are cached on disk keyed by image content hash, so reruns and
-scheme sweeps never decode or resample an image twice:
+Suite runs work one (geometry, suite) at a time with all schemes at once:
+each image yields one set of pattern maps, and every scheme's histogram is
+built from it. Features are cached on disk keyed by image content hash, so
+reruns never decode or resample an image twice:
 
   <cache>/<key[:2]>/<key>.maps   pattern maps per (image, P, R)
-  <cache>/<key[:2]>/<key>.hist   histogram per (image, P, R, scheme)
+  <cache>/<key[:2]>/<key>.hist   histogram per (image, P, R, scheme),
+                                 written and read only by histogram_for_file
 
 Both kinds of cache entry end in a SHA-256 digest of their payload;
 corruption is a hard error naming the sample rather than a silent recompute.
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EvalReport, ModelSet, evaluate
+# evaluate is not called here; perfbench/tracer.py wraps cldp.suite.evaluate.
+from .classifier import EvalReport, ModelSet, evaluate, predict, summarize  # noqa: F401
 from .histogram import (
     FeatureHistogram,
     SchemeExpr,
@@ -277,13 +281,13 @@ class FeatureCache:
 
     @staticmethod
     def maps_key(file_hash: str, P: int, R: float, normalized: bool, derivative: bool) -> str:
-        raw = f"{file_hash}|maps|P={P}|R={R!r}|norm={int(normalized)}|deriv={int(derivative)}"
+        raw = f"{file_hash}|maps|P={P}|R={float(R)!r}|norm={int(normalized)}|deriv={int(derivative)}"
         return hashlib.sha256(raw.encode("ascii")).hexdigest()
 
     @staticmethod
     def hist_key(file_hash: str, P: int, R: float, scheme: SchemeExpr, normalized: bool) -> str:
         # "hist2": entries carry a digest; older unsealed entries are misses.
-        raw = f"{file_hash}|hist2|P={P}|R={R!r}|scheme={scheme}|norm={int(normalized)}"
+        raw = f"{file_hash}|hist2|P={P}|R={float(R)!r}|scheme={scheme}|norm={int(normalized)}"
         return hashlib.sha256(raw.encode("ascii")).hexdigest()
 
     def _load(self, key: str, kind: str, sample: str, parse):
@@ -311,6 +315,38 @@ class FeatureCache:
         atomic_write_bytes(self._path(key, "hist"), _seal(histogram_to_bytes(hist)))
 
 
+def _file_hash(rel: str, abs_path: str) -> str:
+    try:
+        with open(abs_path, "rb") as fh:
+            raw = fh.read()
+    except OSError as err:
+        raise SuiteError(f"sample {rel}: {err}") from None
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _maps_for_file(rel: str, abs_path: str, file_hash: str, P: int, R: float,
+                   cache: FeatureCache | None, normalized: bool,
+                   with_derivative: bool) -> PatternMaps:
+    """Pattern maps of one image: the cached entry when there is one, else
+    one extraction, stored in the cache when one is given."""
+    mkey = None
+    if cache is not None:
+        mkey = cache.maps_key(file_hash, P, R, normalized, with_derivative)
+        maps = cache.load_maps(mkey, P, float(R), rel)
+        if maps is not None:
+            return maps
+    try:
+        img = load_image(abs_path)
+    except ValueError as err:
+        raise SuiteError(f"sample {rel}: {err}") from None
+    if normalized:
+        img = normalize_image(img)
+    maps = extract_maps(img, P, R, mapper=_shared_mapper(P), derivative=with_derivative)
+    if cache is not None:
+        cache.store_maps(mkey, maps)
+    return maps
+
+
 def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: float,
                        cache: FeatureCache | None = None, normalized: bool = False,
                        with_derivative: bool | None = None) -> FeatureHistogram:
@@ -318,42 +354,66 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
 
     rel is the name used in error messages and cache diagnostics (usually the
     manifest-relative path). with_derivative defaults to R >= 2 so cached
-    maps stay shareable across schemes with and without D.
+    maps stay shareable across schemes with and without D. This is the
+    per-image path of ``cldp extract``, the only user of ``.hist`` entries;
+    suite runs build every scheme's histogram from one set of maps instead.
     """
     if with_derivative is None:
         with_derivative = float(R) >= 2.0
-    try:
-        with open(abs_path, "rb") as fh:
-            raw = fh.read()
-    except OSError as err:
-        raise SuiteError(f"sample {rel}: {err}") from None
-    file_hash = hashlib.sha256(raw).hexdigest()
-    hist_cacheable = cache is not None and float(R).is_integer()
+    file_hash = _file_hash(rel, abs_path)
     hkey = None
-    if hist_cacheable:
+    if cache is not None and float(R).is_integer():
         hkey = cache.hist_key(file_hash, P, R, scheme, normalized)
         hist = cache.load_hist(hkey, scheme, rel)
         if hist is not None:
             return hist
-    maps = None
-    mkey = None
-    if cache is not None:
-        mkey = cache.maps_key(file_hash, P, R, normalized, with_derivative)
-        maps = cache.load_maps(mkey, P, float(R), rel)
-    if maps is None:
-        try:
-            img = load_image(abs_path)
-        except ValueError as err:
-            raise SuiteError(f"sample {rel}: {err}") from None
-        if normalized:
-            img = normalize_image(img)
-        maps = extract_maps(img, P, R, mapper=_shared_mapper(P), derivative=with_derivative)
-        if cache is not None:
-            cache.store_maps(mkey, maps)
+    maps = _maps_for_file(rel, abs_path, file_hash, P, R, cache, normalized, with_derivative)
     hist = build_histogram(maps, scheme)
-    if hist_cacheable:
+    if hkey is not None:
         cache.store_hist(hkey, hist)
     return hist
+
+
+def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache | None,
+                 workers: int, normalize: bool) -> list:
+    """One EvalReport per scheme, in order, for one suite at one geometry.
+
+    Two ordered passes over the worker pool. Train: each file is read and
+    hashed once, its maps come from the cache or one extraction, and every
+    scheme's histogram is built from them and stacked into one ModelSet per
+    scheme. Test: a worker builds a file's histograms and classifies each at
+    once, returning only (label, tied) per scheme, so the test histograms are
+    never all held at once. The first failing sample in manifest order
+    raises, and the reports do not depend on the worker count.
+    """
+    texts = [str(s) for s in schemes]
+    exprs = [s if isinstance(s, SchemeExpr) else parse_scheme(s) for s in schemes]
+    for text, expr in zip(texts, exprs):
+        if expr.uses("D") and not float(R) >= 2.0:
+            raise SuiteError(f"scheme {text} needs the derivative, which needs R >= 2 (got R={R})")
+    with_derivative = float(R) >= 2.0
+
+    def files(manifest):
+        return [(rel, manifest.abs_path(rel)) for rel, _ in manifest.entries]
+
+    def histograms(entry):
+        rel, abs_path = entry
+        maps = _maps_for_file(rel, abs_path, _file_hash(rel, abs_path), P, R, cache,
+                              normalize, with_derivative)
+        return [build_histogram(maps, expr) for expr in exprs]
+
+    train = map_ordered(histograms, files(spec.train), workers)
+    train_labels = [label for _, label in spec.train.entries]
+    models = [ModelSet([h[k] for h in train], train_labels) for k in range(len(exprs))]
+    del train  # the model sets hold their own copies
+
+    def outcomes(entry):
+        return [predict(h, m) for h, m in zip(histograms(entry), models)]
+
+    tested = map_ordered(outcomes, files(spec.test), workers)
+    truth = [label for _, label in spec.test.entries]
+    return [summarize(truth, [o[k] for o in tested], m, suite=spec.name, scheme=text)
+            for k, (text, m) in enumerate(zip(texts, models))]
 
 
 def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
@@ -362,27 +422,11 @@ def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
 
     scheme may be a string (kept verbatim in the report, so CLBP_/CLDP_
     prefixes survive into tables) or a parsed SchemeExpr. workers > 1
-    parallelizes feature extraction; results are reduced in manifest order,
-    so the report is byte-identical for any worker count.
+    parallelizes feature extraction and classification; results are reduced
+    in manifest order, so the report is byte-identical for any worker count.
     """
-    scheme_text = str(scheme)
-    expr = parse_scheme(scheme_text) if isinstance(scheme, str) else scheme
-    if expr.uses("D") and not float(R) >= 2.0:
-        raise SuiteError(f"scheme {scheme_text} needs the derivative, which needs R >= 2 (got R={R})")
-    with_derivative = float(R) >= 2.0
     cache = FeatureCache(cache_dir) if cache_dir else None
-    tasks = [(rel, label, manifest.abs_path(rel))
-             for manifest in (spec.train, spec.test) for rel, label in manifest.entries]
-    hists = map_ordered(
-        lambda t: histogram_for_file(t[0], t[2], expr, P, R, cache, normalize, with_derivative),
-        tasks,
-        workers,
-    )
-    labels = [label for _, label, _ in tasks]
-    n_train = len(spec.train)
-    models = ModelSet(hists[:n_train], labels[:n_train])
-    return evaluate(list(zip(hists[n_train:], labels[n_train:])), models,
-                    suite=spec.name, scheme=scheme_text)
+    return _run_schemes(spec, [scheme], P, R, cache, workers, normalize)[0]
 
 
 @dataclass(frozen=True)
@@ -519,27 +563,39 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
                normalize: bool = False, progress=None) -> MatrixReport:
     """Run every cell of the matrix, recording failures instead of aborting.
 
-    Aggregate rows are appended per (scheme, geometry): AVG3 when the matrix
-    has exactly three suites, AVG2-TC12 when exactly two suite names contain
-    'TC12'. Both are plain means of the per-suite accuracies, so they can be
-    recomputed from the CSV.
+    The work goes geometry by geometry and suite by suite, all schemes at
+    once, so each image is read and its maps made or loaded once per
+    geometry and suite; a failure fails every scheme's cell of that
+    (geometry, suite). Cells are listed scheme by scheme, then by geometry
+    and suite. Aggregate rows are appended per (scheme, geometry): AVG3 when
+    the matrix has exactly three suites, AVG2-TC12 when exactly two suite
+    names contain 'TC12'. Both are plain means of the per-suite accuracies,
+    so they can be recomputed from the CSV.
     """
-    cells = []
+    cache = FeatureCache(cache_dir) if cache_dir else None
     suite_names = tuple(s.name for s in matrix.suites)
     tc12 = [n for n in suite_names if "TC12" in n.upper()]
-    for scheme in matrix.schemes:
-        for P, R in matrix.geometries:
-            group = []
-            for spec in matrix.suites:
-                if progress:
+    # grid[g][s][k]: the cell of scheme k at geometry g on suite s.
+    grid = []
+    for P, R in matrix.geometries:
+        row = []
+        for spec in matrix.suites:
+            if progress:
+                for scheme in matrix.schemes:
                     progress(f"{scheme} ({P},{R:g}) {spec.name}")
-                try:
-                    rep = run_suite(spec, scheme, P, R, cache_dir=cache_dir,
-                                    workers=workers, normalize=normalize)
-                    cell = MatrixCell(scheme, P, float(R), spec.name, rep.accuracy, rep.ties)
-                except Exception as err:  # recorded, surfaced via exit code
-                    cell = MatrixCell(scheme, P, float(R), spec.name, None, 0, error=str(err))
-                group.append(cell)
+            try:
+                reports = _run_schemes(spec, matrix.schemes, P, R, cache, workers, normalize)
+                row.append([MatrixCell(scheme, P, float(R), spec.name, rep.accuracy, rep.ties)
+                            for scheme, rep in zip(matrix.schemes, reports)])
+            except Exception as err:  # recorded, surfaced via exit code
+                row.append([MatrixCell(scheme, P, float(R), spec.name, None, 0, error=str(err))
+                            for scheme in matrix.schemes])
+        grid.append(row)
+
+    cells = []
+    for k, scheme in enumerate(matrix.schemes):
+        for (P, R), row in zip(matrix.geometries, grid):
+            group = [by_scheme[k] for by_scheme in row]
             cells.extend(group)
 
             def aggregate(name, members):

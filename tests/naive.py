@@ -188,3 +188,12 @@ def naive_histogram(pixels: np.ndarray, P: int, R: float, scheme_text: str,
         n = sum(counts)
         parts.extend(v / n for v in counts)
     return np.array(parts, dtype=np.float64)
+
+
+def naive_model_distances(bins: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Chi-square distance from one histogram to every model row, written
+    with a fresh array per step: num, den and the zero-filled terms."""
+    num = (matrix - bins) ** 2
+    den = matrix + bins
+    terms = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    return terms.sum(axis=1)

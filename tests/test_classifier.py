@@ -13,7 +13,9 @@ from cldp import (
     extract_maps,
     parse_scheme,
 )
+from cldp.classifier import _distances_to_models
 from conftest import gray
+from naive import naive_model_distances
 
 
 def test_chi_square_examples():
@@ -109,6 +111,31 @@ def test_evaluate_validates_length():
         evaluate([([0.5], 0)], models)
     with pytest.raises(ValueError, match="length"):
         evaluate([([0.5, 0.5, 0.0], 0), ([0.5, 0.5], 1)], models)
+
+
+def test_distance_kernel_matches_oracle_bitwise():
+    rng = np.random.default_rng(62)
+
+    def sparse(rows, dim, nonzero):
+        out = np.zeros((rows, dim))
+        for row in out:
+            cols = rng.choice(dim, size=nonzero, replace=False)
+            row[cols] = rng.uniform(0.0, 1.0, size=nonzero)
+            row /= row.sum()
+        return out
+
+    models = sparse(40, 2000, 250)
+    queries = sparse(5, 2000, 250)
+    padded = np.concatenate([models, np.zeros((40, 300))], axis=1)
+    cases = [(q, models) for q in queries]
+    cases += [(np.concatenate([q, np.zeros(300)]), padded) for q in queries]
+    # t = -m on row 0: every nonzero bin of that row has den == 0 and a
+    # nonzero numerator, and the term must still be 0.
+    cases.append((-models[0], models))
+    for bins, matrix in cases:
+        got = _distances_to_models(bins, matrix)
+        assert got.tobytes() == naive_model_distances(bins, matrix).tobytes()
+    assert _distances_to_models(-models[0], models)[0] == 0.0
 
 
 def test_model_set_validation():

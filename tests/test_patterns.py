@@ -59,6 +59,8 @@ def test_mapper_validates_codes():
             mapper.map_array(np.array([256], dtype=np.uint32))
         with pytest.raises(ValueError):
             mapper.map_array(np.array([0, 300], dtype=np.uint32))
+        with pytest.raises(ValueError):
+            mapper.map_array(np.array([3, -1]))
 
 
 def test_code_space_stats_p8():

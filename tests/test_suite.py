@@ -1,4 +1,6 @@
+import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from cldp import (
     DatasetError,
     ExperimentMatrix,
     FeatureCache,
+    ModelSet,
     SuiteError,
     SuiteSpec,
     atomic_write_bytes,
     atomic_write_text,
     build_histogram,
+    evaluate,
     extract_maps,
     histogram_for_file,
     load_manifest,
@@ -181,8 +185,8 @@ def test_run_suite_cache_round_trip(tmp_path):
     spec = _tiny_suite(tmp_path)
     cache_dir = tmp_path / "cache"
     cold = run_suite(spec, "S/M/D/C", 8, 2.0, cache_dir=cache_dir)
-    stored = list(cache_dir.rglob("*.hist"))
-    assert stored
+    assert list(cache_dir.rglob("*.maps"))
+    assert not list(cache_dir.rglob("*.hist"))
     warm = run_suite(spec, "S/M/D/C", 8, 2.0, cache_dir=cache_dir)
     assert warm.to_json() == cold.to_json()
     uncached = run_suite(spec, "S/M/D/C", 8, 2.0)
@@ -193,8 +197,8 @@ def test_run_suite_corrupt_cache_names_sample(tmp_path):
     spec = _tiny_suite(tmp_path)
     cache_dir = tmp_path / "cache"
     run_suite(spec, "S", 8, 2.0, cache_dir=cache_dir)
-    for path in cache_dir.rglob("*.hist"):
-        path.write_bytes(b"not a histogram")
+    for path in cache_dir.rglob("*.maps"):
+        path.write_bytes(b"not pattern maps")
     with pytest.raises(CacheError, match="corrupt cache entry for sample c0"):
         run_suite(spec, "S", 8, 2.0, cache_dir=cache_dir)
 
@@ -253,6 +257,18 @@ def test_feature_cache_keys_separate_variants():
     s = parse_scheme("S")
     assert FeatureCache.hist_key(h, 8, 2.0, s, False) != \
         FeatureCache.hist_key(h, 8, 2.0, parse_scheme("M"), False)
+
+
+def test_cache_key_formats_radius_as_float(tmp_path):
+    spec = _tiny_suite(tmp_path)
+    rel = spec.train.entries[0][0]
+    cache = FeatureCache(tmp_path / "cache")
+    scheme = parse_scheme("S/M")
+    as_int = histogram_for_file(rel, spec.train.abs_path(rel), scheme, 8, 3, cache)
+    as_float = histogram_for_file(rel, spec.train.abs_path(rel), scheme, 8, 3.0, cache)
+    assert as_int.bins.tobytes() == as_float.bins.tobytes()
+    assert len(list((tmp_path / "cache").rglob("*.maps"))) == 1
+    assert len(list((tmp_path / "cache").rglob("*.hist"))) == 1
 
 
 def test_histogram_for_file_missing_file(tmp_path):
@@ -382,3 +398,87 @@ def test_matrix_progress_callback(tmp_path):
                               suites=(_renamed(base, "s1"),))
     run_matrix(matrix, progress=seen.append)
     assert seen == ["CLBP_S (8,2) s1"]
+
+
+def _shared_train_suites(tmp_path):
+    """Three suites with their own test splits and byte-identical training
+    images, each under its own root, as the Outex suites all train on the
+    same textures."""
+    specs = [_tiny_suite(tmp_path, name=f"s{k}", classes=9, samples=2, size=20, seed=3 + k)
+             for k in range(3)]
+    for spec in specs[1:]:
+        for rel, _ in specs[0].train.entries:
+            shutil.copyfile(specs[0].train.abs_path(rel), spec.train.abs_path(rel))
+    return tuple(_renamed(spec, f"s{k}") for k, spec in enumerate(specs))
+
+
+def _evaluated_cell(spec, scheme, P, R):
+    """(accuracy, ties) of one cell, composed from histogram_for_file and
+    evaluate without a cache."""
+    expr = parse_scheme(scheme)
+
+    def hists(manifest):
+        return [histogram_for_file(rel, manifest.abs_path(rel), expr, P, R)
+                for rel, _ in manifest.entries]
+
+    models = ModelSet(hists(spec.train), [label for _, label in spec.train.entries])
+    report = evaluate(zip(hists(spec.test), [label for _, label in spec.test.entries]), models)
+    return report.accuracy, report.ties
+
+
+_FUSED_SCHEMES = ("CLBP_M", "CLDP_S_D_M/C")
+_FUSED_GEOMETRIES = ((8, 2.0), (8, 3.0))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_matrix_cells_equal_per_scheme_evaluation(tmp_path, workers):
+    suites = _shared_train_suites(tmp_path)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES,
+                              suites=suites)
+    want = {(scheme, P, R, spec.name): _evaluated_cell(spec, scheme, P, R)
+            for scheme in _FUSED_SCHEMES for P, R in _FUSED_GEOMETRIES for spec in suites}
+    order = [(scheme, P, R, name) for scheme in _FUSED_SCHEMES for P, R in _FUSED_GEOMETRIES
+             for name in ("s0", "s1", "s2", "AVG3")]
+    cache_dir = tmp_path / "cache"
+    for run_cache in (None, cache_dir, cache_dir):  # no cache, cold, warm
+        report = run_matrix(matrix, cache_dir=run_cache, workers=workers)
+        assert not report.failed
+        assert [(c.scheme, c.P, c.R, c.suite) for c in report.cells] == order
+        got = {(c.scheme, c.P, c.R, c.suite): (c.accuracy, c.ties)
+               for c in report.cells if c.suite != "AVG3"}
+        assert got == want
+
+
+def test_run_matrix_missing_test_image_fails_only_its_suite(tmp_path):
+    suites = _shared_train_suites(tmp_path)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES,
+                              suites=suites)
+    before = run_matrix(matrix).cells
+    victim = suites[1].test.entries[4][0]
+    os.unlink(suites[1].test.abs_path(victim))
+    after = run_matrix(matrix, workers=3).cells
+    assert len(after) == len(before)
+    for old, new in zip(before, after):
+        if new.suite == "s1":
+            assert new.accuracy is None and victim in new.error
+        elif new.suite == "AVG3":
+            assert new.error == "aggregate over failed cells"
+        else:
+            assert new == old
+
+
+def test_run_matrix_cold_cache_holds_one_maps_entry_per_input(tmp_path):
+    suites = _shared_train_suites(tmp_path)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES,
+                              suites=suites)
+    cache_dir = tmp_path / "cache"
+    run_matrix(matrix, cache_dir=cache_dir, workers=3)
+    contents = set()
+    for spec in suites:
+        for manifest in (spec.train, spec.test):
+            for rel, _ in manifest.entries:
+                with open(manifest.abs_path(rel), "rb") as fh:
+                    contents.add(hashlib.sha256(fh.read()).hexdigest())
+    assert len(contents) == 18 + 3 * 18
+    assert not list(cache_dir.rglob("*.hist"))
+    assert len(list(cache_dir.rglob("*.maps"))) == len(contents) * len(_FUSED_GEOMETRIES)
