@@ -13,11 +13,9 @@ from .classifier import EvalReport, ModelSet, chi_square, classify, evaluate
 from .histogram import (
     FeatureHistogram,
     SchemeError,
-    SchemeExpr,
     build_histogram,
     component_bins,
     format_histogram_csv_row,
-    group_dimension,
     histogram_from_bytes,
     histogram_to_bytes,
     parse_scheme,
@@ -26,7 +24,6 @@ from .histogram import (
 from .image import (
     FormatError,
     GrayImage,
-    Manifest,
     ManifestError,
     load_bmp8,
     load_image,
@@ -43,20 +40,13 @@ from .patterns import (
     export_map_pgm,
     extract_maps,
 )
-from .sampler import (
-    NeighborOffset,
-    SamplingGeometry,
-    make_geometry,
-    valid_region,
-)
+from .sampler import make_geometry, valid_region
 from .suite import (
     CacheError,
     ConfigError,
     DatasetError,
     ExperimentMatrix,
     FeatureCache,
-    MatrixCell,
-    MatrixReport,
     SuiteError,
     SuiteSpec,
     atomic_write_bytes,
@@ -81,17 +71,11 @@ __all__ = [
     "FeatureHistogram",
     "FormatError",
     "GrayImage",
-    "Manifest",
     "ManifestError",
-    "MatrixCell",
-    "MatrixReport",
     "ModelSet",
-    "NeighborOffset",
     "PatternMaps",
     "Riu2Mapper",
-    "SamplingGeometry",
     "SchemeError",
-    "SchemeExpr",
     "SuiteError",
     "SuiteSpec",
     "atomic_write_bytes",
@@ -106,7 +90,6 @@ __all__ = [
     "export_map_pgm",
     "extract_maps",
     "format_histogram_csv_row",
-    "group_dimension",
     "histogram_for_file",
     "histogram_from_bytes",
     "histogram_to_bytes",

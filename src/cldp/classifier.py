@@ -2,7 +2,7 @@
 
 The distance is sum((T_n - M_n)^2 / (T_n + M_n)) with 0/0 terms contributing
 zero; the predicted class is the label of the nearest model, ties broken by
-the lowest model source index.
+the lowest model index.
 """
 
 from __future__ import annotations
@@ -22,6 +22,22 @@ def _bins_of(h):
     return np.asarray(h, dtype=np.float64)
 
 
+def _chi_terms(t, m) -> np.ndarray:
+    """The chi-square terms (m - t)**2 / (m + t), broadcast, with 0/0 terms
+    set to zero; two temporaries of the broadcast shape, computed in place.
+
+    (m - t)**2 and m + t are bitwise (t - m)**2 and t + m, so the argument
+    order does not change a term.
+    """
+    den = m + t
+    terms = m - t
+    np.square(terms, out=terms)
+    nonzero = den != 0.0
+    np.divide(terms, den, out=terms, where=nonzero)
+    np.copyto(terms, 0.0, where=~nonzero)
+    return terms
+
+
 def chi_square(t, m) -> float:
     """Chi-square distance between two histograms of equal length.
 
@@ -38,21 +54,17 @@ def chi_square(t, m) -> float:
     ma = _bins_of(m)
     if ta.shape != ma.shape:
         raise ValueError(f"histogram lengths differ: {ta.shape} vs {ma.shape}")
-    num = (ta - ma) ** 2
-    den = ta + ma
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-    return math.fsum(terms.tolist())
+    return math.fsum(_chi_terms(ta, ma).tolist())
 
 
 class ModelSet:
     """Training histograms stacked for fast nearest-neighbor queries.
 
-    Every model keeps a source index (its position in the original training
-    order) used for deterministic tie breaking even if the set is built from
-    a permuted list.
+    Models keep the order they are given in; an exact distance tie goes to
+    the model that comes first.
     """
 
-    def __init__(self, histograms, labels, source_indices=None):
+    def __init__(self, histograms, labels):
         histograms = list(histograms)
         labels = [int(l) for l in labels]
         if not histograms:
@@ -64,13 +76,8 @@ class ModelSet:
             if isinstance(h, FeatureHistogram) and isinstance(first, FeatureHistogram):
                 if h.scheme != first.scheme or h.P != first.P:
                     raise ValueError("all models must share one scheme and P")
-        if source_indices is None:
-            source_indices = range(len(histograms))
         self.matrix = np.stack([_bins_of(h) for h in histograms])
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.source_indices = np.asarray(list(source_indices), dtype=np.int64)
-        if len(self.source_indices) != len(histograms):
-            raise ValueError("source index count differs from model count")
         self.scheme = first.scheme if isinstance(first, FeatureHistogram) else None
         self.P = first.P if isinstance(first, FeatureHistogram) else None
         self.R = first.R if isinstance(first, FeatureHistogram) else None
@@ -80,23 +87,16 @@ class ModelSet:
 
 
 def _distances_to_models(bins: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    # Two models x dim float64 temporaries, computed in place; the terms and
-    # their C-contiguous row layout, hence sum(axis=1), are those of
-    # (m - b)**2 / (m + b) with 0/0 terms set to zero.
-    den = matrix + bins
-    terms = matrix - bins
-    np.square(terms, out=terms)
-    nonzero = den != 0.0
-    np.divide(terms, den, out=terms, where=nonzero)
-    np.copyto(terms, 0.0, where=~nonzero)
-    return terms.sum(axis=1)
+    # The terms come out in C-contiguous rows, one per model, so sum(axis=1)
+    # reduces each model's terms in bin order.
+    return _chi_terms(bins, matrix).sum(axis=1)
 
 
 def _nearest(t, models: ModelSet):
     """Index of the nearest model, the indices of every model at the minimum
     distance, and the distances to all models.
 
-    Exact distance ties go to the model with the lowest source index.
+    Exact distance ties go to the model with the lowest index.
     """
     bins = _bins_of(t)
     if bins.shape != models.matrix.shape[1:]:
@@ -105,18 +105,17 @@ def _nearest(t, models: ModelSet):
             f"({models.matrix.shape[1]})"
         )
     d = _distances_to_models(bins, models.matrix)
-    candidates = np.flatnonzero(d == d.min())
-    winner = candidates[np.argmin(models.source_indices[candidates])]
-    return winner, candidates, d
+    winner = int(np.argmin(d))
+    return winner, np.flatnonzero(d == d[winner]), d
 
 
 def classify(t, models: ModelSet):
-    """Return (label, source_index, distance) of the nearest model.
+    """Return (label, model index, distance) of the nearest model.
 
-    Exact distance ties go to the model with the lowest source index.
+    Exact distance ties go to the model with the lowest index.
     """
     winner, _, d = _nearest(t, models)
-    return int(models.labels[winner]), int(models.source_indices[winner]), float(d[winner])
+    return int(models.labels[winner]), winner, float(d[winner])
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def predict(t, models: ModelSet) -> tuple:
 
     tied is True when models of more than one class share the minimum
     distance; the label is then that of the tied model with the lowest
-    source index.
+    index.
     """
     winner, candidates, _ = _nearest(t, models)
     tied = len(set(models.labels[candidates].tolist())) > 1

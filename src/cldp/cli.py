@@ -14,16 +14,18 @@ import os
 import sys
 
 from . import __version__
-from .histogram import format_histogram_csv_row, histogram_to_bytes, parse_scheme
+from .histogram import check_scheme, format_histogram_csv_row, histogram_to_bytes
 from .image import load_manifest
 from .patterns import code_space_stats
 from .suite import (
     CacheError,
     FeatureCache,
+    MatrixCell,
     SuiteError,
     SuiteSpec,
     atomic_write_bytes,
     atomic_write_text,
+    cells_csv_text,
     histogram_for_file,
     load_matrix_config,
     load_suite_config,
@@ -44,18 +46,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _checked_scheme(scheme_text: str, R: float):
-    expr = parse_scheme(scheme_text)
-    if expr.uses("D") and not float(R) >= 2.0:
-        raise ValueError(
-            f"scheme {scheme_text} uses the derivative component, "
-            f"which needs R >= 2 (got R={R:g})"
-        )
-    return expr
-
-
-def _guess_manifest_format(path: str):
-    return _MANIFEST_EXT.get(os.path.splitext(path)[1].lower())
+def _manifest_source(path: str, args):
+    """(format, root) of a manifest argument: --manifest-format, else the
+    format its extension names (None for any other extension); --root, else
+    the manifest's directory."""
+    fmt = args.manifest_format or _MANIFEST_EXT.get(os.path.splitext(path)[1].lower())
+    root = args.root if args.root is not None else (os.path.dirname(path) or ".")
+    return fmt, root
 
 
 def _emit_text(text: str, out) -> None:
@@ -66,12 +63,11 @@ def _emit_text(text: str, out) -> None:
 
 
 def cmd_extract(args) -> int:
-    expr = _checked_scheme(args.scheme, args.R)
-    fmt = args.manifest_format or _guess_manifest_format(args.input)
+    expr = check_scheme(args.scheme, args.R)
+    fmt, root = _manifest_source(args.input, args)
     if fmt is not None:
         if args.format == "binary":
             raise ValueError("--format binary holds one histogram; use csv for manifests")
-        root = args.root if args.root is not None else (os.path.dirname(args.input) or ".")
         manifest = load_manifest(args.input, root, fmt)
         tasks = [(rel, label, manifest.abs_path(rel)) for rel, label in manifest.entries]
     else:
@@ -103,19 +99,18 @@ def cmd_extract(args) -> int:
 
 def _adhoc_suite(args) -> SuiteSpec:
     def load_one(path):
-        fmt = args.manifest_format or _guess_manifest_format(path)
+        fmt, root = _manifest_source(path, args)
         if fmt is None:
             raise ValueError(
                 f"cannot infer manifest format of {path}; pass --manifest-format"
             )
-        root = args.root if args.root is not None else (os.path.dirname(path) or ".")
         return load_manifest(path, root, fmt)
 
     return SuiteSpec(args.name, load_one(args.train), load_one(args.test))
 
 
 def cmd_classify(args) -> int:
-    _checked_scheme(args.scheme, args.R)
+    check_scheme(args.scheme, args.R)
     if args.config:
         if args.train or args.test:
             raise ValueError("--config and --train/--test are mutually exclusive")
@@ -132,10 +127,8 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         text = rep.to_json()
     elif args.format == "csv":
-        text = (
-            "scheme,P,R,suite,accuracy,ties\n"
-            f"{rep.scheme},{rep.P},{rep.R:.17g},{rep.suite},{rep.accuracy:.17g},{rep.ties}\n"
-        )
+        text = cells_csv_text([MatrixCell(rep.scheme, rep.P, rep.R, rep.suite,
+                                          rep.accuracy, rep.ties)])
     else:
         text = rep.to_text()
     _emit_text(text, args.out)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import PatternMaps
+from .patterns import PatternMaps, derivative_error, has_derivative
 
 COMPONENTS = "SMDC"
 _PREFIXES = ("CLDP_", "CLBP_")
@@ -110,6 +110,15 @@ def parse_scheme(text: str) -> SchemeExpr:
         if group == ("C",):
             raise SchemeError("C cannot stand alone as a group", start)
     return SchemeExpr(tuple(groups))
+
+
+def check_scheme(scheme, R: float) -> SchemeExpr:
+    """Parse scheme (a string or a SchemeExpr) and check that radius R can
+    supply its components: D needs R >= 2."""
+    expr = scheme if isinstance(scheme, SchemeExpr) else parse_scheme(scheme)
+    if expr.uses("D") and not has_derivative(R):
+        raise derivative_error(f"scheme {scheme}", R)
+    return expr
 
 
 def component_bins(component: str, P: int) -> int:

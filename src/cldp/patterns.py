@@ -15,6 +15,7 @@ popcount, everything else to the shared bin P+1, giving P+2 bins.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,6 +86,27 @@ class Riu2Mapper:
         return self._direct(codes.astype(np.uint32))
 
 
+@functools.lru_cache(maxsize=None)
+def _default_mapper(P: int) -> Riu2Mapper:
+    # Up to P=16 a mapper builds a 2**P-entry lookup table; build each once
+    # per process rather than once per image.
+    return Riu2Mapper(P)
+
+
+def has_derivative(R: float) -> bool:
+    """Whether maps at outer radius R have a D component.
+
+    D compares the sign bits on the circles of radii R and R-1, so it
+    exists exactly when R >= 2.
+    """
+    return float(R) >= 2.0
+
+
+def derivative_error(what: str, R: float) -> ValueError:
+    """The error for asking for D at a radius that has none."""
+    return ValueError(f"{what}: the derivative component D needs R >= 2 (got R={float(R):g})")
+
+
 def code_space_stats(P: int) -> dict:
     """Exhaustive statistics of the P-bit code space.
 
@@ -148,7 +170,7 @@ class PatternMaps:
     """Per-pixel riu2 maps over the valid region plus the thresholds used.
 
     sign/magnitude/derivative hold riu2 bins in [0, P+1], center holds the
-    0/1 center bits. derivative is None when extraction was run without it.
+    0/1 center bits. derivative is None when R < 2 (see has_derivative).
     c_m and c_I are in canonical intensity units; intensity_lo/hi record the
     affine canonicalization applied before sampling.
     """
@@ -172,7 +194,7 @@ class PatternMaps:
             return self.magnitude
         if name == "D":
             if self.derivative is None:
-                raise ValueError("maps were extracted without the derivative component")
+                raise derivative_error("pattern maps", self.R)
             return self.derivative
         if name == "C":
             return self.center
@@ -180,17 +202,15 @@ class PatternMaps:
 
 
 def extract_maps(img: GrayImage, P: int, R: float,
-                 mapper: Riu2Mapper | None = None,
-                 derivative: bool = True) -> PatternMaps:
+                 mapper: Riu2Mapper | None = None) -> PatternMaps:
     """Extract sign/magnitude/derivative/center maps for the whole image.
 
     Thresholds come first: c_m is the mean |d| over every valid center and
     direction at the outer radius, c_I the mean canonical intensity over the
-    whole image. The derivative compares sign bits at radii R and R-1 and
-    requires R >= 2; pass derivative=False to skip it (needed for R < 2).
+    whole image. The derivative compares sign bits at radii R and R-1; it is
+    extracted exactly when has_derivative(R), and is None otherwise. mapper
+    defaults to one Riu2Mapper per P, shared by every call.
     """
-    if derivative and not float(R) >= 2.0:
-        raise ValueError(f"derivative component needs R >= 2, got R={R}")
     geom = make_geometry(P, R)
     x0, y0, x1, y1 = valid_region(img, R)
     margin = geom.margin
@@ -201,7 +221,7 @@ def extract_maps(img: GrayImage, P: int, R: float,
     c_I = float(np.mean(canon))
 
     if mapper is None:
-        mapper = Riu2Mapper(P)
+        mapper = _default_mapper(geom.P)
     elif mapper.P != geom.P:
         raise ValueError(f"mapper P={mapper.P} does not match P={geom.P}")
 
@@ -210,7 +230,7 @@ def extract_maps(img: GrayImage, P: int, R: float,
     magnitude = mapper.map_array(_pack_bits(np.abs(diffs) >= c_m))
 
     deriv = None
-    if derivative:
+    if has_derivative(R):
         inner = make_geometry(P, R - 1.0)
         inner_diffs, _ = plane_diffs(canon, inner, margin)
         deriv = mapper.map_array(_pack_bits(sign_bits ^ (inner_diffs >= 0.0)))

@@ -38,12 +38,13 @@ from .histogram import (
     FeatureHistogram,
     SchemeExpr,
     build_histogram,
+    check_scheme,
     histogram_from_bytes,
     histogram_to_bytes,
     parse_scheme,
 )
 from .image import GrayImage, Manifest, load_image, load_manifest, normalize_image, save_pgm
-from .patterns import PatternMaps, Riu2Mapper, extract_maps
+from .patterns import PatternMaps, extract_maps, has_derivative
 
 _MAPS_MAGIC = b"CLDPM1"
 
@@ -195,18 +196,6 @@ def load_suite_config(path) -> SuiteSpec:
     return SuiteSpec(values["name"], train, test, expected)
 
 
-_mappers: dict = {}
-
-
-def _shared_mapper(P: int) -> Riu2Mapper:
-    # Up to P=16 a mapper builds a 2**P-entry lookup table; build each once
-    # per process rather than once per image.
-    mapper = _mappers.get(P)
-    if mapper is None:
-        mapper = _mappers.setdefault(P, Riu2Mapper(P))
-    return mapper
-
-
 def _seal(payload: bytes) -> bytes:
     """Frame a cache entry: the payload followed by its SHA-256 digest."""
     return payload + hashlib.sha256(payload).digest()
@@ -280,8 +269,9 @@ class FeatureCache:
         return os.path.join(self.directory, key[:2], f"{key}.{kind}")
 
     @staticmethod
-    def maps_key(file_hash: str, P: int, R: float, normalized: bool, derivative: bool) -> str:
-        raw = f"{file_hash}|maps|P={P}|R={float(R)!r}|norm={int(normalized)}|deriv={int(derivative)}"
+    def maps_key(file_hash: str, P: int, R: float, normalized: bool) -> str:
+        deriv = int(has_derivative(R))
+        raw = f"{file_hash}|maps|P={P}|R={float(R)!r}|norm={int(normalized)}|deriv={deriv}"
         return hashlib.sha256(raw.encode("ascii")).hexdigest()
 
     @staticmethod
@@ -325,13 +315,12 @@ def _file_hash(rel: str, abs_path: str) -> str:
 
 
 def _maps_for_file(rel: str, abs_path: str, file_hash: str, P: int, R: float,
-                   cache: FeatureCache | None, normalized: bool,
-                   with_derivative: bool) -> PatternMaps:
+                   cache: FeatureCache | None, normalized: bool) -> PatternMaps:
     """Pattern maps of one image: the cached entry when there is one, else
     one extraction, stored in the cache when one is given."""
     mkey = None
     if cache is not None:
-        mkey = cache.maps_key(file_hash, P, R, normalized, with_derivative)
+        mkey = cache.maps_key(file_hash, P, R, normalized)
         maps = cache.load_maps(mkey, P, float(R), rel)
         if maps is not None:
             return maps
@@ -341,25 +330,22 @@ def _maps_for_file(rel: str, abs_path: str, file_hash: str, P: int, R: float,
         raise SuiteError(f"sample {rel}: {err}") from None
     if normalized:
         img = normalize_image(img)
-    maps = extract_maps(img, P, R, mapper=_shared_mapper(P), derivative=with_derivative)
+    maps = extract_maps(img, P, R)
     if cache is not None:
         cache.store_maps(mkey, maps)
     return maps
 
 
 def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: float,
-                       cache: FeatureCache | None = None, normalized: bool = False,
-                       with_derivative: bool | None = None) -> FeatureHistogram:
+                       cache: FeatureCache | None = None,
+                       normalized: bool = False) -> FeatureHistogram:
     """Histogram for one image file, going through the cache when given.
 
     rel is the name used in error messages and cache diagnostics (usually the
-    manifest-relative path). with_derivative defaults to R >= 2 so cached
-    maps stay shareable across schemes with and without D. This is the
-    per-image path of ``cldp extract``, the only user of ``.hist`` entries;
-    suite runs build every scheme's histogram from one set of maps instead.
+    manifest-relative path). This is the per-image path of ``cldp extract``,
+    the only user of ``.hist`` entries; suite runs build every scheme's
+    histogram from one set of maps instead.
     """
-    if with_derivative is None:
-        with_derivative = float(R) >= 2.0
     file_hash = _file_hash(rel, abs_path)
     hkey = None
     if cache is not None and float(R).is_integer():
@@ -367,7 +353,7 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
         hist = cache.load_hist(hkey, scheme, rel)
         if hist is not None:
             return hist
-    maps = _maps_for_file(rel, abs_path, file_hash, P, R, cache, normalized, with_derivative)
+    maps = _maps_for_file(rel, abs_path, file_hash, P, R, cache, normalized)
     hist = build_histogram(maps, scheme)
     if hkey is not None:
         cache.store_hist(hkey, hist)
@@ -387,19 +373,14 @@ def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache
     raises, and the reports do not depend on the worker count.
     """
     texts = [str(s) for s in schemes]
-    exprs = [s if isinstance(s, SchemeExpr) else parse_scheme(s) for s in schemes]
-    for text, expr in zip(texts, exprs):
-        if expr.uses("D") and not float(R) >= 2.0:
-            raise SuiteError(f"scheme {text} needs the derivative, which needs R >= 2 (got R={R})")
-    with_derivative = float(R) >= 2.0
+    exprs = [check_scheme(s, R) for s in schemes]
 
     def files(manifest):
         return [(rel, manifest.abs_path(rel)) for rel, _ in manifest.entries]
 
     def histograms(entry):
         rel, abs_path = entry
-        maps = _maps_for_file(rel, abs_path, _file_hash(rel, abs_path), P, R, cache,
-                              normalize, with_derivative)
+        maps = _maps_for_file(rel, abs_path, _file_hash(rel, abs_path), P, R, cache, normalize)
         return [build_histogram(maps, expr) for expr in exprs]
 
     train = map_ordered(histograms, files(spec.train), workers)
@@ -439,13 +420,8 @@ class ExperimentMatrix:
 
     def __post_init__(self):
         for text in self.schemes:
-            expr = parse_scheme(text)
-            if expr.uses("D"):
-                for P, R in self.geometries:
-                    if not float(R) >= 2.0:
-                        raise ValueError(
-                            f"scheme {text} uses D but geometry ({P},{R}) has R < 2"
-                        )
+            for _, R in self.geometries:
+                check_scheme(text, R)
 
 
 def load_matrix_config(path) -> ExperimentMatrix:
@@ -484,6 +460,16 @@ class MatrixCell:
     error: str | None = None
 
 
+def cells_csv_text(cells) -> str:
+    """The per-cell CSV: a header, then one row per cell, floats at 17
+    significant digits and FAILED for a failed cell's accuracy."""
+    lines = ["scheme,P,R,suite,accuracy,ties"]
+    for c in cells:
+        acc = "FAILED" if c.accuracy is None else f"{c.accuracy:.17g}"
+        lines.append(f"{c.scheme},{c.P},{c.R:.17g},{c.suite},{acc},{c.ties}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class MatrixReport:
     cells: tuple
@@ -496,11 +482,7 @@ class MatrixReport:
         return any(c.error is not None for c in self.cells)
 
     def to_csv_text(self) -> str:
-        lines = ["scheme,P,R,suite,accuracy,ties"]
-        for c in self.cells:
-            acc = "FAILED" if c.accuracy is None else f"{c.accuracy:.17g}"
-            lines.append(f"{c.scheme},{c.P},{c.R:.17g},{c.suite},{acc},{c.ties}")
-        return "\n".join(lines) + "\n"
+        return cells_csv_text(self.cells)
 
     def _summary_cell(self, scheme: str, P: int, R: float):
         rows = [c for c in self.cells if c.scheme == scheme and c.P == P and c.R == R

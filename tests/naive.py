@@ -131,12 +131,10 @@ def naive_diffs_at(canon: np.ndarray, offsets, x: int, y: int):
     return diffs
 
 
-def naive_histogram(pixels: np.ndarray, P: int, R: float, scheme_text: str,
-                    with_derivative: bool | None = None) -> np.ndarray:
+def naive_histogram(pixels: np.ndarray, P: int, R: float, scheme_text: str) -> np.ndarray:
     """Full pipeline, one pixel at a time, returning the normalized bins."""
     R = float(R)
-    if with_derivative is None:
-        with_derivative = R >= 2.0
+    has_d = R >= 2.0
     groups = naive_scheme_groups(scheme_text)
     margin = math.ceil(R)
     h, w = pixels.shape
@@ -151,7 +149,7 @@ def naive_histogram(pixels: np.ndarray, P: int, R: float, scheme_text: str,
     )
     c_m = float(np.mean(abs_stack))
     c_I = float(np.mean(canon))
-    inner = naive_offsets(P, R - 1.0) if with_derivative else None
+    inner = naive_offsets(P, R - 1.0) if has_d else None
 
     codes = {}
     for y in ys:
@@ -164,7 +162,7 @@ def naive_histogram(pixels: np.ndarray, P: int, R: float, scheme_text: str,
                 "M": naive_riu2(m_bits, P),
                 "C": 1 if canon[y, x] >= c_I else 0,
             }
-            if with_derivative:
+            if has_d:
                 di = naive_diffs_at(canon, inner, x, y)
                 d_bits = sum(
                     1 << p for p in range(P) if (d[p] >= 0.0) != (di[p] >= 0.0)

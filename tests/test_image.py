@@ -139,11 +139,10 @@ def test_image_mean_examples():
     # interior gives 28/64 although no valid center is bright.
     arr = np.full((8, 8), 255.0)
     arr[1:7, 1:7] = 0.0
-    maps = extract_maps(gray(arr), 8, 1.0, derivative=False)
+    maps = extract_maps(gray(arr), 8, 1.0)
     assert maps.c_I == 28.0 / 64.0
     assert np.all(maps.center == 0)
-    assert extract_maps(gray([[0, 0, 0], [0, 255, 0], [0, 0, 0]]), 4, 1.0,
-                        derivative=False).c_I == 1.0 / 9.0
+    assert extract_maps(gray([[0, 0, 0], [0, 255, 0], [0, 0, 0]]), 4, 1.0).c_I == 1.0 / 9.0
 
 
 def test_normalize_image_hits_target_moments():

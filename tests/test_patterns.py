@@ -90,7 +90,7 @@ def test_encode_sign_examples():
     # P=4 on a ramp: diffs (0, -d, 0, +d) in directions down, left, up,
     # right. Zero diffs code as 1, so the code is 0b1101 (riu2 bin 3);
     # coding them as 0 would give 0b1000 (bin 1).
-    maps = extract_maps(ramp(), 4, 1.0, derivative=False)
+    maps = extract_maps(ramp(), 4, 1.0)
     assert np.all(maps.sign == 3)
 
 
@@ -103,12 +103,12 @@ def test_encode_sign_all_ones_on_constant():
 def test_encode_magnitude_examples():
     # Every |d| on a checkerboard at R=1 is 1, which is also the mean c_m:
     # the threshold is inclusive, so every bit is set (bin P, not bin 0).
-    maps = extract_maps(checkerboard(), 4, 1.0, derivative=False)
+    maps = extract_maps(checkerboard(), 4, 1.0)
     assert maps.c_m == 1.0
     assert np.all(maps.magnitude == 4)
     # On a ramp only the left/right diffs reach c_m: code 0b1010 is not
     # uniform and lands in the catch-all bin P+1.
-    maps = extract_maps(ramp(), 4, 1.0, derivative=False)
+    maps = extract_maps(ramp(), 4, 1.0)
     assert maps.c_m == 1.0 / 16.0
     assert np.all(maps.magnitude == 5)
 
@@ -128,7 +128,7 @@ def test_encode_derivative_is_symmetric_xor():
 
 def test_encode_center_inclusive_boundary():
     # The canonical ramp x/8 has mean exactly 0.5, the value at x = 4.
-    maps = extract_maps(ramp(), 4, 1.0, derivative=False)
+    maps = extract_maps(ramp(), 4, 1.0)
     assert maps.c_I == 0.5
     assert maps.center.tolist() == [[0, 0, 0, 1, 1, 1, 1]] * 7
 
@@ -191,12 +191,11 @@ def test_extract_maps_mapper_strategies_agree():
 
 def test_extract_maps_derivative_gating():
     img = gray(np.zeros((10, 10)))
-    with pytest.raises(ValueError, match="R >= 2"):
-        extract_maps(img, 8, 1.0)
-    maps = extract_maps(img, 8, 1.0, derivative=False)
+    maps = extract_maps(img, 8, 1.0)
     assert maps.derivative is None
-    with pytest.raises(ValueError, match="derivative"):
+    with pytest.raises(ValueError, match="R >= 2"):
         maps.component("D")
+    assert np.all(extract_maps(img, 8, 2.0).component("D") == 0)
     with pytest.raises(ValueError):
         maps.component("Q")
 

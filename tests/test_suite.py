@@ -170,7 +170,7 @@ def test_run_suite_keeps_scheme_text_verbatim(tmp_path):
 
 def test_run_suite_rejects_derivative_below_r2(tmp_path):
     spec = _tiny_suite(tmp_path)
-    with pytest.raises(SuiteError, match="R >= 2"):
+    with pytest.raises(ValueError, match="R >= 2"):
         run_suite(spec, "S/M/D/C", 8, 1.0)
 
 
@@ -232,7 +232,7 @@ def test_feature_cache_maps_round_trip(tmp_path):
     rng = np.random.default_rng(60)
     maps = extract_maps(gray(random_8bit(rng, 20, 20)), 8, 2.0)
     cache = FeatureCache(tmp_path / "cache")
-    key = cache.maps_key("f" * 64, 8, 2.0, False, True)
+    key = cache.maps_key("f" * 64, 8, 2.0, False)
     assert cache.load_maps(key, 8, 2.0, "x.pgm") is None
     cache.store_maps(key, maps)
     back = cache.load_maps(key, 8, 2.0, "x.pgm")
@@ -247,13 +247,18 @@ def test_feature_cache_maps_round_trip(tmp_path):
 def test_feature_cache_keys_separate_variants():
     h = "a" * 64
     keys = {
-        FeatureCache.maps_key(h, 8, 2.0, False, True),
-        FeatureCache.maps_key(h, 8, 2.0, False, False),
-        FeatureCache.maps_key(h, 8, 2.0, True, True),
-        FeatureCache.maps_key(h, 8, 3.0, False, True),
-        FeatureCache.maps_key(h, 16, 2.0, False, True),
+        FeatureCache.maps_key(h, 8, 2.0, False),
+        FeatureCache.maps_key(h, 8, 2.0, True),
+        FeatureCache.maps_key(h, 8, 3.0, False),
+        FeatureCache.maps_key(h, 8, 1.0, False),
+        FeatureCache.maps_key(h, 16, 2.0, False),
     }
     assert len(keys) == 5
+    # The deriv= field follows from R; these are the keys of existing caches.
+    assert FeatureCache.maps_key(h, 8, 3.0, False) == \
+        "44fdd4928d897251680d3897949a891f69d54e4f98b723796342ad4d4f85bdc1"
+    assert FeatureCache.maps_key(h, 8, 1.0, False) == \
+        "ff15b7e2f7b3e6828f7cb5e45367fcf594c79da0baf2072b77f5af7d085b86d2"
     s = parse_scheme("S")
     assert FeatureCache.hist_key(h, 8, 2.0, s, False) != \
         FeatureCache.hist_key(h, 8, 2.0, parse_scheme("M"), False)
@@ -279,7 +284,7 @@ def test_histogram_for_file_missing_file(tmp_path):
 
 def test_experiment_matrix_validates_derivative_feasibility(tmp_path):
     spec = _tiny_suite(tmp_path)
-    with pytest.raises(ValueError, match="R < 2"):
+    with pytest.raises(ValueError, match="R >= 2"):
         ExperimentMatrix(schemes=("CLDP_S/D",), geometries=((8, 1.0),), suites=(spec,))
     ok = ExperimentMatrix(schemes=("CLBP_S",), geometries=((8, 1.0),), suites=(spec,))
     assert ok.geometries == ((8, 1.0),)
@@ -384,7 +389,7 @@ def test_load_matrix_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError, match="geometries"):
         load_matrix_config(cfg)
     cfg.write_text("schemes = S/D\ngeometries = (8,1)\nsuites = tiny/suite.cfg\n")
-    with pytest.raises(ValueError, match="R < 2"):
+    with pytest.raises(ValueError, match="R >= 2"):
         load_matrix_config(cfg)
     cfg.write_text("schemes = S/Q\ngeometries = (8,2)\nsuites = tiny/suite.cfg\n")
     with pytest.raises(ValueError):
