@@ -181,10 +181,13 @@ def build_histogram(maps: PatternMaps, scheme: SchemeExpr,
     dims = tuple(group_dimension(g, P) for g in scheme.groups)
     parts = []
     for group in scheme.groups:
-        idx = np.zeros(maps.sign.shape, dtype=np.int64)
-        for comp in group:
-            b = component_bins(comp, P)
-            idx = idx * b + maps.component(comp).astype(np.int64)
+        first, *rest = group
+        idx = maps.component(first)
+        if rest:
+            idx = idx.astype(np.intp)
+            for comp in rest:
+                idx *= component_bins(comp, P)
+                idx += maps.component(comp)
         counts = np.bincount(idx.ravel(), minlength=group_dimension(group, P))
         counts = counts.astype(np.float64)
         if normalize:
@@ -196,10 +199,18 @@ def build_histogram(maps: PatternMaps, scheme: SchemeExpr,
 
 
 def format_histogram_csv_row(path: str, label: int, hist: FeatureHistogram) -> str:
-    """One CSV line: path,label,scheme,P,R,b_0,...,b_{N-1} at 17 significant digits."""
+    """One CSV line: path,label,scheme,P,R,b_0,...,b_{N-1} at 17 significant digits.
+
+    Most bins of a sparse histogram are +0.0, which formats as "0"; only the
+    others (including -0.0 and nan) go through the formatter.
+    """
     head = f"{path},{label},{hist.scheme},{hist.P},{hist.R:.17g}"
-    body = ",".join(f"{v:.17g}" for v in hist.bins)
-    return f"{head},{body}"
+    bins = hist.bins
+    cells = ["0"] * bins.size
+    values = bins.tolist()
+    for i in np.flatnonzero((bins != 0.0) | np.signbit(bins)).tolist():
+        cells[i] = f"{values[i]:.17g}"
+    return f"{head},{','.join(cells)}"
 
 
 def histogram_to_bytes(hist: FeatureHistogram) -> bytes:

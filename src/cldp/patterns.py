@@ -217,7 +217,9 @@ def extract_maps(img: GrayImage, P: int, R: float,
 
     canon, lo, hi = canonical_intensity(img.pixels)
     diffs, centers = plane_diffs(canon, geom, margin)
-    c_m = float(np.mean(np.abs(diffs)))
+    sign_bits = diffs >= 0.0
+    magnitudes = np.abs(diffs, out=diffs)  # the signed diffs are not read again
+    c_m = float(np.mean(magnitudes))
     c_I = float(np.mean(canon))
 
     if mapper is None:
@@ -225,9 +227,8 @@ def extract_maps(img: GrayImage, P: int, R: float,
     elif mapper.P != geom.P:
         raise ValueError(f"mapper P={mapper.P} does not match P={geom.P}")
 
-    sign_bits = diffs >= 0.0
     sign = mapper.map_array(_pack_bits(sign_bits))
-    magnitude = mapper.map_array(_pack_bits(np.abs(diffs) >= c_m))
+    magnitude = mapper.map_array(_pack_bits(magnitudes >= c_m))
 
     deriv = None
     if has_derivative(R):

@@ -18,6 +18,7 @@ Two details matter for the exact invariances promised by the pattern layer:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,11 +93,14 @@ def _rotated(o: NeighborOffset) -> NeighborOffset:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def make_geometry(P: int, R: float) -> SamplingGeometry:
     """Build the P sampling offsets for radius R.
 
     P must be an integer >= 4 and R a real >= 1. Displacements within
-    SNAP_TOL of an integer snap to a single tap with weight 1.
+    SNAP_TOL of an integer snap to a single tap with weight 1. Geometries
+    are frozen and memoized per (P, R), so every image sampled at one
+    geometry shares a single instance; bad arguments raise on every call.
     """
     if int(P) != P or P < 4:
         raise ValueError(f"P must be an integer >= 4, got {P}")
@@ -147,22 +151,40 @@ def plane_diffs(pixels: np.ndarray, geom: SamplingGeometry, margin: int):
     directly from tap-minus-center values, so flat patches give exact zeros
     and adding an integer constant to an integer image leaves diffs bitwise
     unchanged.
+
+    An offset whose four tap corners are one pixel is that pixel minus the
+    center, a single subtraction. For finite pixels this is bitwise the
+    four-term sum: the three zero-weight terms are zeros of the same sign as
+    d and cannot change it. Every other offset accumulates the four terms in
+    place, in the pair order given in the module docstring.
     """
     h, w = pixels.shape
     hv = h - 2 * margin
     wv = w - 2 * margin
     if hv < 1 or wv < 1:
         raise ValueError(f"image {w}x{h} has no valid centers at margin {margin}")
-    c = pixels[margin : margin + hv, margin : margin + wv]
+    centers = pixels[margin : margin + hv, margin : margin + wv]
+    c = np.ascontiguousarray(centers)  # every subtraction reads it; contiguous is faster
     diffs = np.empty((geom.P, hv, wv), dtype=np.float64)
+    pair = np.empty((hv, wv), dtype=np.float64)
+    term = np.empty((hv, wv), dtype=np.float64)
+
+    def tap(x, y):
+        return pixels[margin + y : margin + y + hv, margin + x : margin + x + wv]
+
+    def weighted(x, y, weight, out):
+        np.subtract(tap(x, y), c, out=out)
+        out *= weight
+        return out
+
     for p, o in enumerate(geom.offsets):
-        d00 = pixels[margin + o.y0 : margin + o.y0 + hv,
-                     margin + o.x0 : margin + o.x0 + wv] - c
-        d01 = pixels[margin + o.y0 : margin + o.y0 + hv,
-                     margin + o.x1 : margin + o.x1 + wv] - c
-        d10 = pixels[margin + o.y1 : margin + o.y1 + hv,
-                     margin + o.x0 : margin + o.x0 + wv] - c
-        d11 = pixels[margin + o.y1 : margin + o.y1 + hv,
-                     margin + o.x1 : margin + o.x1 + wv] - c
-        diffs[p] = (o.w00 * d00 + o.w11 * d11) + (o.w01 * d01 + o.w10 * d10)
-    return diffs, c
+        d = diffs[p]
+        if o.x0 == o.x1 and o.y0 == o.y1:
+            np.subtract(tap(o.x0, o.y0), c, out=d)
+            continue
+        weighted(o.x0, o.y0, o.w00, d)
+        d += weighted(o.x1, o.y1, o.w11, term)
+        weighted(o.x1, o.y0, o.w01, pair)
+        pair += weighted(o.x0, o.y1, o.w10, term)
+        d += pair
+    return diffs, centers

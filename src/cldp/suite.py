@@ -314,10 +314,11 @@ def _file_hash(rel: str, abs_path: str) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def _maps_for_file(rel: str, abs_path: str, file_hash: str, P: int, R: float,
+def _maps_for_file(rel: str, abs_path: str, file_hash: str | None, P: int, R: float,
                    cache: FeatureCache | None, normalized: bool) -> PatternMaps:
     """Pattern maps of one image: the cached entry when there is one, else
-    one extraction, stored in the cache when one is given."""
+    one extraction, stored in the cache when one is given. file_hash keys
+    the cache and is None when no cache is given."""
     mkey = None
     if cache is not None:
         mkey = cache.maps_key(file_hash, P, R, normalized)
@@ -326,7 +327,7 @@ def _maps_for_file(rel: str, abs_path: str, file_hash: str, P: int, R: float,
             return maps
     try:
         img = load_image(abs_path)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise SuiteError(f"sample {rel}: {err}") from None
     if normalized:
         img = normalize_image(img)
@@ -344,15 +345,17 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
     rel is the name used in error messages and cache diagnostics (usually the
     manifest-relative path). This is the per-image path of ``cldp extract``,
     the only user of ``.hist`` entries; suite runs build every scheme's
-    histogram from one set of maps instead.
+    histogram from one set of maps instead. The file is hashed only to key
+    a cache.
     """
-    file_hash = _file_hash(rel, abs_path)
-    hkey = None
-    if cache is not None and float(R).is_integer():
-        hkey = cache.hist_key(file_hash, P, R, scheme, normalized)
-        hist = cache.load_hist(hkey, scheme, rel)
-        if hist is not None:
-            return hist
+    file_hash = hkey = None
+    if cache is not None:
+        file_hash = _file_hash(rel, abs_path)
+        if float(R).is_integer():
+            hkey = cache.hist_key(file_hash, P, R, scheme, normalized)
+            hist = cache.load_hist(hkey, scheme, rel)
+            if hist is not None:
+                return hist
     maps = _maps_for_file(rel, abs_path, file_hash, P, R, cache, normalized)
     hist = build_histogram(maps, scheme)
     if hkey is not None:
@@ -364,13 +367,14 @@ def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache
                  workers: int, normalize: bool) -> list:
     """One EvalReport per scheme, in order, for one suite at one geometry.
 
-    Two ordered passes over the worker pool. Train: each file is read and
-    hashed once, its maps come from the cache or one extraction, and every
-    scheme's histogram is built from them and stacked into one ModelSet per
-    scheme. Test: a worker builds a file's histograms and classifies each at
-    once, returning only (label, tied) per scheme, so the test histograms are
-    never all held at once. The first failing sample in manifest order
-    raises, and the reports do not depend on the worker count.
+    Two ordered passes over the worker pool. Train: each file's maps come
+    from the cache, keyed by the file's hash, or from one extraction, and
+    every scheme's histogram is built from them and stacked into one
+    ModelSet per scheme. Test: a worker builds a file's histograms and
+    classifies each at once, returning only (label, tied) per scheme, so the
+    test histograms are never all held at once. The first failing sample in
+    manifest order raises, and the reports do not depend on the worker
+    count.
     """
     texts = [str(s) for s in schemes]
     exprs = [check_scheme(s, R) for s in schemes]
@@ -380,7 +384,8 @@ def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache
 
     def histograms(entry):
         rel, abs_path = entry
-        maps = _maps_for_file(rel, abs_path, _file_hash(rel, abs_path), P, R, cache, normalize)
+        file_hash = _file_hash(rel, abs_path) if cache is not None else None
+        maps = _maps_for_file(rel, abs_path, file_hash, P, R, cache, normalize)
         return [build_histogram(maps, expr) for expr in exprs]
 
     train = map_ordered(histograms, files(spec.train), workers)

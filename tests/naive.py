@@ -131,6 +131,19 @@ def naive_diffs_at(canon: np.ndarray, offsets, x: int, y: int):
     return diffs
 
 
+def naive_plane_diffs(pixels: np.ndarray, P: int, R: float, margin: int) -> np.ndarray:
+    """The (P, Hv, Wv) difference stack over the centers at least margin
+    pixels from the border, every entry from the four-term formula of
+    naive_diffs_at, zero weights included."""
+    h, w = pixels.shape
+    offsets = naive_offsets(P, R)
+    out = np.empty((P, h - 2 * margin, w - 2 * margin), dtype=np.float64)
+    for y in range(margin, h - margin):
+        for x in range(margin, w - margin):
+            out[:, y - margin, x - margin] = naive_diffs_at(pixels, offsets, x, y)
+    return out
+
+
 def naive_histogram(pixels: np.ndarray, P: int, R: float, scheme_text: str) -> np.ndarray:
     """Full pipeline, one pixel at a time, returning the normalized bins."""
     R = float(R)

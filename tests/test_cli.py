@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -10,6 +11,7 @@ from cldp import (
     parse_scheme,
     save_pgm,
 )
+from cldp import cli
 from cldp.cli import main
 from conftest import gray, random_8bit
 
@@ -102,6 +104,48 @@ def test_extract_rejects_derivative_at_r1(tmp_path, capsys):
     save_pgm(gray(np.zeros((16, 16))), img)
     assert main(["extract", str(img), "-R", "1"]) == 1
     assert "R >= 2" in capsys.readouterr().err
+
+
+# sha256 of the CSV below as written before single-tap sampling, in-place
+# interpolation and sparse row formatting; those change no output byte.
+EXTRACT_CSV_SHA256 = "c962c4920dad98e0b1388007096c2a2a3851b8caa66d52b9d957bc4d226cb47b"
+
+
+def test_extract_csv_bytes_are_pinned(tmp_path):
+    spec = make_synthetic_suite(tmp_path / "suite", seed=7, classes=3,
+                                samples_per_class=2, size=32)
+    manifest = tmp_path / "all.csv"
+    manifest.write_text("".join(f"{rel},{label}\n"
+                                for rel, label in spec.train.entries + spec.test.entries))
+    out = tmp_path / "out.csv"
+    assert main(["extract", str(manifest), "--root", spec.train.root,
+                 "-P", "8", "-R", "3", "--scheme", "S/M/D/C", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 12
+    assert hashlib.sha256(data).hexdigest() == EXTRACT_CSV_SHA256
+
+
+@pytest.mark.parametrize("with_cache", [False, True])
+def test_extract_sample_deleted_after_manifest_load_exits_2(tmp_path, capsys, monkeypatch,
+                                                            with_cache):
+    monkeypatch.delenv("CLDP_CACHE_DIR", raising=False)
+    img_dir, names = _write_images(tmp_path)
+    manifest = tmp_path / "list.csv"
+    manifest.write_text("".join(f"{n},0\n" for n in names))
+    load_manifest = cli.load_manifest
+
+    def load_then_delete(*args):
+        loaded = load_manifest(*args)
+        (img_dir / names[1]).unlink()
+        return loaded
+
+    monkeypatch.setattr(cli, "load_manifest", load_then_delete)
+    args = ["extract", str(manifest), "--root", str(img_dir), "-P", "8", "-R", "2"]
+    if with_cache:
+        args += ["--cache-dir", str(tmp_path / "cache")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"sample {names[1]}:" in err
 
 
 def test_extract_uses_cache_dir_env(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,17 @@ def test_csv_row_format():
     assert fields[:5] == ["img/a.pgm", "3", "S", "8", "2"]
     assert len(fields) == 5 + 10
     assert [float(v) for v in fields[5:]] == hist.bins.tolist()
+
+
+def test_csv_row_matches_formatting_every_bin():
+    """Skipping the formatter for +0.0 bins changes no byte: -0.0, the
+    smallest subnormal, inf and nan are still formatted."""
+    values = [0.0, -0.0, 5e-324, 1.0 / 3.0, 1.0, 1e300, math.inf, math.nan,
+              -1.0 / 3.0, -math.inf, 0.0]
+    hist = FeatureHistogram(scheme=parse_scheme("S"), P=8, R=2.0,
+                            bins=np.array(values), dims=(len(values),))
+    want = "img/a.pgm,3,S,8,2," + ",".join(f"{v:.17g}" for v in values)
+    assert format_histogram_csv_row("img/a.pgm", 3, hist) == want
 
 
 def test_binary_round_trip_bitwise():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from cldp import make_geometry, valid_region
 from cldp.sampler import plane_diffs
 from conftest import gray, random_8bit
-from naive import naive_diffs_at, naive_offsets
+from naive import naive_diffs_at, naive_offsets, naive_plane_diffs
 
 
 def test_make_geometry_p4_r1_snaps_to_axes():
@@ -60,10 +61,22 @@ def test_quarter_turn_offsets_are_exact_rotations(P, R):
 
 
 def test_make_geometry_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        make_geometry(3, 2.0)
-    with pytest.raises(ValueError):
-        make_geometry(8, 0.5)
+    # twice each: make_geometry is memoized, and a bad call must not be
+    for P, R in [(3, 2.0), (8, 0.5), (4.5, 2.0), (8, math.nan)] * 2:
+        with pytest.raises(ValueError):
+            make_geometry(P, R)
+
+
+def test_make_geometry_is_memoized_and_frozen():
+    geom = make_geometry(8, 3.0)
+    assert make_geometry(8, 3.0) is geom
+    assert make_geometry(8, 3) is geom and geom.R == 3.0
+    assert make_geometry(8, 2.0) is not geom
+    assert isinstance(geom.offsets, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        geom.R = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        geom.offsets[0].w00 = 0.5
 
 
 def test_valid_region_arithmetic():
@@ -141,6 +154,46 @@ def test_plane_diffs_matches_sample_at(P, R):
         for x in range(m, 11 - m):
             assert diffs[:, y - m, x - m].tolist() == naive_diffs_at(arr, offsets, x, y)
             assert centers[y - m, x - m] == arr[y, x]
+
+
+def _tap_kinds(geom):
+    kinds = set()
+    for o in geom.offsets:
+        snapped = (o.x0 == o.x1) + (o.y0 == o.y1)
+        kinds.add(("bilinear", "one axis snapped", "single tap")[snapped])
+    return kinds
+
+
+def _signed_zero_plane(rng, h, w):
+    # Small integers with +0.0 and -0.0 mixed in: many differences are
+    # zeros, and some of them are -0.0 - +0.0 = -0.0.
+    arr = np.floor(rng.uniform(0.0, 3.0, size=(h, w)))
+    arr[arr == 0.0] = np.where(rng.random(int((arr == 0.0).sum())) < 0.5, -0.0, 0.0)
+    return arr
+
+
+@pytest.mark.parametrize("P,R,kinds", [
+    (8, 3.0, {"single tap", "bilinear"}),
+    (12, 2.0, {"single tap", "one axis snapped"}),
+    (8, 1.5, {"one axis snapped", "bilinear"}),
+    (24, 3.0, {"single tap", "bilinear"}),
+])
+def test_plane_diffs_bitwise_equals_four_term_oracle(P, R, kinds):
+    """Every entry, signed zeros included, equals the four-term formula:
+    single taps, taps snapped on one axis and bilinear taps, on plain,
+    rot90 and signed-zero inputs, at the geometry's margin and at a wider
+    one (the inner circle of D is sampled that way)."""
+    geom = make_geometry(P, R)
+    assert _tap_kinds(geom) == kinds
+    rng = np.random.default_rng(29)
+    inputs = [random_8bit(rng, 13, 12), np.floor(rng.uniform(0.0, 3.0, size=(13, 12))),
+              _signed_zero_plane(rng, 13, 12)]
+    inputs += [np.rot90(a) for a in inputs]
+    for arr in inputs:
+        for m in (geom.margin, geom.margin + 1):
+            diffs, centers = plane_diffs(arr, geom, m)
+            assert diffs.tobytes() == naive_plane_diffs(arr, P, R, m).tobytes()
+            assert centers.tobytes() == arr[m:arr.shape[0] - m, m:arr.shape[1] - m].tobytes()
 
 
 @pytest.mark.parametrize("P", [8, 16])
