@@ -22,19 +22,21 @@ def _bins_of(h):
     return np.asarray(h, dtype=np.float64)
 
 
-def _chi_terms(t, m) -> np.ndarray:
+def _chi_terms(t, m, terms=None, den=None) -> np.ndarray:
     """The chi-square terms (m - t)**2 / (m + t), broadcast, with 0/0 terms
-    set to zero; two temporaries of the broadcast shape, computed in place.
+    set to zero, computed in place.
 
-    (m - t)**2 and m + t are bitwise (t - m)**2 and t + m, so the argument
-    order does not change a term.
+    terms and den are optional float64 buffers of the broadcast shape; the
+    terms are written into terms, which is returned. (m - t)**2 and m + t
+    are bitwise (t - m)**2 and t + m, so the argument order does not change
+    a term.
     """
-    den = m + t
-    terms = m - t
+    den = np.add(m, t, out=den)
+    terms = np.subtract(m, t, out=terms)
     np.square(terms, out=terms)
-    nonzero = den != 0.0
-    np.divide(terms, den, out=terms, where=nonzero)
-    np.copyto(terms, 0.0, where=~nonzero)
+    mask = den != 0.0
+    np.divide(terms, den, out=terms, where=mask)
+    np.copyto(terms, 0.0, where=np.logical_not(mask, out=mask))
     return terms
 
 
@@ -86,10 +88,32 @@ class ModelSet:
         return self.matrix.shape[0]
 
 
+# Elements per chi-square temporary in the model scan. Scanning the models
+# in blocks of rows keeps a query's temporaries at this size (one row per
+# block when a row is longer). Terms for every model at once take
+# 2 x models x dim x 8 bytes, about 270 MB at P=24 with 480 models, per
+# worker thread; glibc hands memory that large back to the OS when it is
+# freed, so every query also paid to fault it in again.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def _distances_to_models(bins: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    # The terms come out in C-contiguous rows, one per model, so sum(axis=1)
-    # reduces each model's terms in bin order.
-    return _chi_terms(bins, matrix).sum(axis=1)
+    """Chi-square distance from bins to every row of matrix.
+
+    A block's terms come out in C-contiguous rows, one per model, so
+    sum(axis=1) reduces each model's terms in bin order, whatever the block
+    size: the distances are bitwise those of one unblocked scan.
+    """
+    n, dim = matrix.shape
+    rows = min(n, max(1, _BLOCK_ELEMENTS // dim))
+    terms = np.empty((rows, dim), dtype=np.float64)
+    den = np.empty((rows, dim), dtype=np.float64)
+    out = np.empty(n, dtype=np.float64)
+    for start in range(0, n, rows):
+        k = min(rows, n - start)
+        _chi_terms(bins, matrix[start : start + k], terms[:k], den[:k]).sum(
+            axis=1, out=out[start : start + k])
+    return out
 
 
 def _nearest(t, models: ModelSet):

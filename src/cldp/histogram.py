@@ -12,6 +12,7 @@ normalized to unit mass, and groups are concatenated.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -57,9 +58,18 @@ def parse_scheme(text: str) -> SchemeExpr:
     derivative component. Each component may appear once overall, every
     group needs at least one component, and C cannot form a group on its
     own. Errors carry the offending position in the original string.
+
+    Parsed schemes are frozen and memoized per text, so a scheme that a
+    matrix config, its validation and every (geometry, suite) run all name
+    is parsed once; bad text raises on every call.
     """
     if not isinstance(text, str) or not text:
         raise SchemeError("empty scheme", 0)
+    return _parse_scheme(text)
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_scheme(text: str) -> SchemeExpr:
     base = 0
     body = text
     forbid_d = False

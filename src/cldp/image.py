@@ -82,14 +82,22 @@ def _header_int(data: bytes, pos: int, what: str):
     return value, end
 
 
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def load_pgm(path) -> GrayImage:
-    """Read a binary (P5) 8-bit PGM file.
+    """Read a binary (P5) 8-bit PGM file; see parse_pgm."""
+    return parse_pgm(_read_bytes(path))
+
+
+def parse_pgm(data: bytes) -> GrayImage:
+    """Decode the bytes of a binary (P5) 8-bit PGM file.
 
     Header whitespace and '#' comments are tolerated; malformed or truncated
     files raise FormatError naming the offending byte offset.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     if data[:2] != b"P5":
         raise FormatError(f"not a P5 PGM (magic {data[:2]!r} at byte 0)")
     width, pos = _header_int(data, 2, "width")
@@ -137,15 +145,18 @@ def _i32(data, off):
 
 
 def load_bmp8(path) -> GrayImage:
-    """Read an uncompressed 8-bit palettized BMP.
+    """Read an uncompressed 8-bit palettized BMP file; see parse_bmp8."""
+    return parse_bmp8(_read_bytes(path))
+
+
+def parse_bmp8(data: bytes) -> GrayImage:
+    """Decode the bytes of an uncompressed 8-bit palettized BMP file.
 
     The palette is collapsed to gray: entries with equal channels use that
     value directly (this covers identity gray ramps), anything else goes
     through the usual luma weights 0.299/0.587/0.114 rounded half up.
     Bottom-up files are flipped to the top-left origin used everywhere else.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     if data[:2] != b"BM":
         raise FormatError(f"not a BMP (magic {data[:2]!r} at byte 0)")
     if len(data) < 54:
@@ -195,14 +206,20 @@ def load_bmp8(path) -> GrayImage:
     return GrayImage(gray[idx])
 
 
-def load_image(path) -> GrayImage:
-    """Dispatch on extension: .pgm/.pnm go to the PGM reader, .bmp to BMP."""
+def load_image(path, data: bytes | None = None) -> GrayImage:
+    """Dispatch on extension: .pgm/.pnm go to the PGM parser, .bmp to BMP.
+
+    data, when given, is the file's content, already read by the caller
+    (to hash it, say), and is decoded instead of reading the file again.
+    """
     ext = os.path.splitext(str(path))[1].lower()
     if ext in (".pgm", ".pnm"):
-        return load_pgm(path)
-    if ext == ".bmp":
-        return load_bmp8(path)
-    raise FormatError(f"unsupported image extension {ext!r} for {path}")
+        parse = parse_pgm
+    elif ext == ".bmp":
+        parse = parse_bmp8
+    else:
+        raise FormatError(f"unsupported image extension {ext!r} for {path}")
+    return parse(_read_bytes(path) if data is None else data)
 
 
 def normalize_image(img: GrayImage, mean: float = 128.0, std: float = 20.0) -> GrayImage:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage, save_pgm
-from .sampler import make_geometry, plane_diffs, valid_region
+from .sampler import OffsetSampler, SamplingGeometry, make_geometry, plane_diffs, valid_region
 
 _M1 = np.uint32(0x55555555)
 _M2 = np.uint32(0x33333333)
@@ -141,13 +141,11 @@ def code_space_stats(P: int) -> dict:
     }
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean (P, H, W) stack into uint32 codes, bit p = 2**p."""
-    P = bits.shape[0]
-    codes = np.zeros(bits.shape[1:], dtype=np.uint32)
-    for p in range(P):
-        codes |= bits[p].astype(np.uint32) << np.uint32(p)
-    return codes
+def _push_bit(codes: np.ndarray, bits: np.ndarray) -> None:
+    """Shift uint32 codes up one bit, in place, and set bit 0 from a boolean
+    plane. Pushing the planes of bits P-1 down to 0 packs bit p = 2**p."""
+    np.left_shift(codes, 1, out=codes)
+    np.bitwise_or(codes, bits, out=codes)
 
 
 def canonical_intensity(pixels: np.ndarray):
@@ -201,6 +199,39 @@ class PatternMaps:
         raise ValueError(f"unknown component {name!r}")
 
 
+def _outer_codes(canon: np.ndarray, geom: SamplingGeometry):
+    """(sign codes, magnitude codes, c_m, centers) at the outer radius.
+
+    The differences are one P x Hv x Wv stack, freed on return. c_m is
+    reduced from the whole stack in one np.mean call, so its bits do not
+    depend on how the rest of the work is split; the codes are packed one
+    plane at a time. centers is a view of canon.
+    """
+    diffs, centers = plane_diffs(canon, geom, geom.margin)
+    bits = np.empty(centers.shape, dtype=bool)
+    sign_codes = np.zeros(centers.shape, dtype=np.uint32)
+    for d in diffs[::-1]:
+        _push_bit(sign_codes, np.greater_equal(d, 0.0, out=bits))
+        np.abs(d, out=d)  # the signed difference is not read again
+    c_m = float(np.mean(diffs))
+    magnitude_codes = np.zeros(centers.shape, dtype=np.uint32)
+    for d in diffs[::-1]:
+        _push_bit(magnitude_codes, np.greater_equal(d, c_m, out=bits))
+    return sign_codes, magnitude_codes, c_m, centers
+
+
+def _inner_sign_codes(canon: np.ndarray, geom: SamplingGeometry, margin: int) -> np.ndarray:
+    """Sign codes of the circle geom over the valid region of margin, each
+    offset sampled into one reused plane and packed at once."""
+    sampler = OffsetSampler(canon, margin)
+    plane = np.empty(sampler.shape, dtype=np.float64)
+    bits = np.empty(sampler.shape, dtype=bool)
+    codes = np.zeros(sampler.shape, dtype=np.uint32)
+    for o in geom.offsets[::-1]:
+        _push_bit(codes, np.greater_equal(sampler.diff(o, plane), 0.0, out=bits))
+    return codes
+
+
 def extract_maps(img: GrayImage, P: int, R: float,
                  mapper: Riu2Mapper | None = None) -> PatternMaps:
     """Extract sign/magnitude/derivative/center maps for the whole image.
@@ -210,16 +241,16 @@ def extract_maps(img: GrayImage, P: int, R: float,
     whole image. The derivative compares sign bits at radii R and R-1; it is
     extracted exactly when has_derivative(R), and is None otherwise. mapper
     defaults to one Riu2Mapper per P, shared by every call.
+
+    Per image, float64 memory is one P x Hv x Wv stack, the outer circle's
+    differences, plus O(Hv x Wv): the inner circle is sampled one offset at
+    a time after the stack is freed.
     """
     geom = make_geometry(P, R)
     x0, y0, x1, y1 = valid_region(img, R)
-    margin = geom.margin
 
     canon, lo, hi = canonical_intensity(img.pixels)
-    diffs, centers = plane_diffs(canon, geom, margin)
-    sign_bits = diffs >= 0.0
-    magnitudes = np.abs(diffs, out=diffs)  # the signed diffs are not read again
-    c_m = float(np.mean(magnitudes))
+    sign_codes, magnitude_codes, c_m, centers = _outer_codes(canon, geom)
     c_I = float(np.mean(canon))
 
     if mapper is None:
@@ -227,14 +258,14 @@ def extract_maps(img: GrayImage, P: int, R: float,
     elif mapper.P != geom.P:
         raise ValueError(f"mapper P={mapper.P} does not match P={geom.P}")
 
-    sign = mapper.map_array(_pack_bits(sign_bits))
-    magnitude = mapper.map_array(_pack_bits(magnitudes >= c_m))
-
+    sign = mapper.map_array(sign_codes)
+    magnitude = mapper.map_array(magnitude_codes)
     deriv = None
     if has_derivative(R):
-        inner = make_geometry(P, R - 1.0)
-        inner_diffs, _ = plane_diffs(canon, inner, margin)
-        deriv = mapper.map_array(_pack_bits(sign_bits ^ (inner_diffs >= 0.0)))
+        # D's bit p is sign bit p at R XOR sign bit p at R-1, so its code is
+        # the XOR of the two circles' sign codes.
+        inner_codes = _inner_sign_codes(canon, make_geometry(P, R - 1.0), geom.margin)
+        deriv = mapper.map_array(np.bitwise_xor(sign_codes, inner_codes, out=inner_codes))
 
     center = (centers >= c_I).astype(np.uint8)
     for arr in (sign, magnitude, deriv, center):

@@ -142,49 +142,73 @@ def valid_region(img, R: float):
     return (m, m, x1, y1)
 
 
-def plane_diffs(pixels: np.ndarray, geom: SamplingGeometry, margin: int):
-    """Interpolated neighbor-minus-center differences over the valid region.
+class OffsetSampler:
+    """Interpolated neighbor-minus-center planes of one image, one offset at
+    a time, over the valid region of a fixed margin.
 
-    Returns (diffs, centers) where diffs has shape (P, Hv, Wv). The margin is
-    passed in (instead of derived from geom) so an inner circle can be sampled
-    over the valid region of the outer one. Differences are interpolated
-    directly from tap-minus-center values, so flat patches give exact zeros
-    and adding an integer constant to an integer image leaves diffs bitwise
-    unchanged.
-
-    An offset whose four tap corners are one pixel is that pixel minus the
-    center, a single subtraction. For finite pixels this is bitwise the
-    four-term sum: the three zero-weight terms are zeros of the same sign as
-    d and cannot change it. Every other offset accumulates the four terms in
-    place, in the pair order given in the module docstring.
+    The margin is given rather than derived from a geometry, so an inner
+    circle can be sampled over the valid region of the outer one. centers is
+    a view of the center pixels; the sampler also holds a contiguous copy of
+    them, which every subtraction reads, and two scratch planes, so sampling
+    any number of offsets allocates nothing more.
     """
-    h, w = pixels.shape
-    hv = h - 2 * margin
-    wv = w - 2 * margin
-    if hv < 1 or wv < 1:
-        raise ValueError(f"image {w}x{h} has no valid centers at margin {margin}")
-    centers = pixels[margin : margin + hv, margin : margin + wv]
-    c = np.ascontiguousarray(centers)  # every subtraction reads it; contiguous is faster
-    diffs = np.empty((geom.P, hv, wv), dtype=np.float64)
-    pair = np.empty((hv, wv), dtype=np.float64)
-    term = np.empty((hv, wv), dtype=np.float64)
 
-    def tap(x, y):
-        return pixels[margin + y : margin + y + hv, margin + x : margin + x + wv]
+    def __init__(self, pixels: np.ndarray, margin: int):
+        h, w = pixels.shape
+        hv = h - 2 * margin
+        wv = w - 2 * margin
+        if hv < 1 or wv < 1:
+            raise ValueError(f"image {w}x{h} has no valid centers at margin {margin}")
+        self.pixels = pixels
+        self.margin = margin
+        self.shape = (hv, wv)
+        self.centers = pixels[margin : margin + hv, margin : margin + wv]
+        self._c = np.ascontiguousarray(self.centers)
+        self._pair = np.empty(self.shape, dtype=np.float64)
+        self._term = np.empty(self.shape, dtype=np.float64)
 
-    def weighted(x, y, weight, out):
-        np.subtract(tap(x, y), c, out=out)
+    def _tap(self, x: int, y: int) -> np.ndarray:
+        m = self.margin
+        hv, wv = self.shape
+        return self.pixels[m + y : m + y + hv, m + x : m + x + wv]
+
+    def _weighted(self, x: int, y: int, weight: float, out: np.ndarray) -> np.ndarray:
+        np.subtract(self._tap(x, y), self._c, out=out)
         out *= weight
         return out
 
-    for p, o in enumerate(geom.offsets):
-        d = diffs[p]
+    def diff(self, o: NeighborOffset, out: np.ndarray) -> np.ndarray:
+        """Write the difference plane of offset o into out, an (Hv, Wv)
+        float64 array, and return it.
+
+        An offset whose four tap corners are one pixel is that pixel minus
+        the center, a single subtraction. For finite pixels this is bitwise
+        the four-term sum: the three zero-weight terms are zeros of the same
+        sign as d and cannot change it. Every other offset accumulates the
+        four terms in place, in the pair order given in the module docstring.
+        """
         if o.x0 == o.x1 and o.y0 == o.y1:
-            np.subtract(tap(o.x0, o.y0), c, out=d)
-            continue
-        weighted(o.x0, o.y0, o.w00, d)
-        d += weighted(o.x1, o.y1, o.w11, term)
-        weighted(o.x1, o.y0, o.w01, pair)
-        pair += weighted(o.x0, o.y1, o.w10, term)
-        d += pair
-    return diffs, centers
+            return np.subtract(self._tap(o.x0, o.y0), self._c, out=out)
+        self._weighted(o.x0, o.y0, o.w00, out)
+        out += self._weighted(o.x1, o.y1, o.w11, self._term)
+        pair = self._weighted(o.x1, o.y0, o.w01, self._pair)
+        pair += self._weighted(o.x0, o.y1, o.w10, self._term)
+        out += pair
+        return out
+
+
+def plane_diffs(pixels: np.ndarray, geom: SamplingGeometry, margin: int):
+    """Interpolated neighbor-minus-center differences over the valid region.
+
+    Returns (diffs, centers) where diffs has shape (P, Hv, Wv), offset p
+    sampled into diffs[p] by OffsetSampler.diff. The margin is passed in
+    (instead of derived from geom) as for OffsetSampler. Differences are
+    interpolated directly from tap-minus-center values, so flat patches give
+    exact zeros and adding an integer constant to an integer image leaves
+    diffs bitwise unchanged.
+    """
+    sampler = OffsetSampler(pixels, margin)
+    diffs = np.empty((geom.P,) + sampler.shape, dtype=np.float64)
+    for p, o in enumerate(geom.offsets):
+        sampler.diff(o, out=diffs[p])
+    return diffs, sampler.centers

@@ -305,28 +305,32 @@ class FeatureCache:
         atomic_write_bytes(self._path(key, "hist"), _seal(histogram_to_bytes(hist)))
 
 
-def _file_hash(rel: str, abs_path: str) -> str:
+def _read_sample(rel: str, abs_path: str) -> tuple:
+    """(bytes, SHA-256 hex digest) of a sample file, read once: the digest
+    keys the cache, and on a miss the same bytes are decoded."""
     try:
         with open(abs_path, "rb") as fh:
-            raw = fh.read()
+            data = fh.read()
     except OSError as err:
         raise SuiteError(f"sample {rel}: {err}") from None
-    return hashlib.sha256(raw).hexdigest()
+    return data, hashlib.sha256(data).hexdigest()
 
 
-def _maps_for_file(rel: str, abs_path: str, file_hash: str | None, P: int, R: float,
+def _maps_for_file(rel: str, abs_path: str, sample: tuple | None, P: int, R: float,
                    cache: FeatureCache | None, normalized: bool) -> PatternMaps:
     """Pattern maps of one image: the cached entry when there is one, else
-    one extraction, stored in the cache when one is given. file_hash keys
-    the cache and is None when no cache is given."""
-    mkey = None
+    one extraction, stored in the cache when one is given. sample is the
+    file's (bytes, digest) from _read_sample when a cache is given, and None
+    otherwise; the file is then read here."""
+    mkey = data = None
     if cache is not None:
+        data, file_hash = sample
         mkey = cache.maps_key(file_hash, P, R, normalized)
         maps = cache.load_maps(mkey, P, float(R), rel)
         if maps is not None:
             return maps
     try:
-        img = load_image(abs_path)
+        img = load_image(abs_path, data)
     except (OSError, ValueError) as err:
         raise SuiteError(f"sample {rel}: {err}") from None
     if normalized:
@@ -345,18 +349,18 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
     rel is the name used in error messages and cache diagnostics (usually the
     manifest-relative path). This is the per-image path of ``cldp extract``,
     the only user of ``.hist`` entries; suite runs build every scheme's
-    histogram from one set of maps instead. The file is hashed only to key
-    a cache.
+    histogram from one set of maps instead. The file is read once; it is
+    hashed only to key a cache.
     """
-    file_hash = hkey = None
+    sample = hkey = None
     if cache is not None:
-        file_hash = _file_hash(rel, abs_path)
+        sample = _read_sample(rel, abs_path)
         if float(R).is_integer():
-            hkey = cache.hist_key(file_hash, P, R, scheme, normalized)
+            hkey = cache.hist_key(sample[1], P, R, scheme, normalized)
             hist = cache.load_hist(hkey, scheme, rel)
             if hist is not None:
                 return hist
-    maps = _maps_for_file(rel, abs_path, file_hash, P, R, cache, normalized)
+    maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalized)
     hist = build_histogram(maps, scheme)
     if hkey is not None:
         cache.store_hist(hkey, hist)
@@ -384,8 +388,8 @@ def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache
 
     def histograms(entry):
         rel, abs_path = entry
-        file_hash = _file_hash(rel, abs_path) if cache is not None else None
-        maps = _maps_for_file(rel, abs_path, file_hash, P, R, cache, normalize)
+        sample = _read_sample(rel, abs_path) if cache is not None else None
+        maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalize)
         return [build_histogram(maps, expr) for expr in exprs]
 
     train = map_ordered(histograms, files(spec.train), workers)
@@ -439,6 +443,9 @@ def load_matrix_config(path) -> ExperimentMatrix:
     schemes = tuple(s.strip() for s in values["schemes"].split(",") if s.strip())
     if not schemes:
         raise ConfigError(f"{path}: no schemes listed")
+    # A bad scheme fails here, before any suite loads, so it is a config
+    # error even when a dataset is missing too. parse_scheme is memoized:
+    # the matrix's own check and the runs reuse these parses.
     for s in schemes:
         parse_scheme(s)
     geom_text = values["geometries"]

@@ -180,14 +180,19 @@ def test_c06_chi_square_contract():
 def test_c07_brute_force_pipeline_oracle():
     rng = np.random.default_rng(707)
     images = [random_8bit(rng, 32, 32) for _ in range(10)]
-    for arr in images:
-        for P, R in ((8, 2.0), (16, 3.0)):
-            maps = extract_maps(GrayImage(arr), P, R)
-            for text in ("S", "S/M/D/C", "S_D_M/C"):
-                fast = build_histogram(maps, parse_scheme(text)).bins
-                slow = naive_histogram(arr, P, R, text)
-                assert np.array_equal(fast, slow), (P, R, text)
-    _ok(7, "optimized pipeline bitwise-matches the per-pixel loop oracle (60 histograms)")
+    # (10, 2.5): P not a multiple of 4 and an inner radius of 1.5; (24, 3)
+    # is the paper's widest geometry. Three images each keep the oracle fast.
+    runs = [(arr, geometry) for arr in images for geometry in ((8, 2.0), (16, 3.0))]
+    runs += [(arr, geometry) for arr in images[:3] for geometry in ((10, 2.5), (24, 3.0))]
+    schemes = ("S", "S/M/D/C", "S_D_M/C")
+    for arr, (P, R) in runs:
+        maps = extract_maps(GrayImage(arr), P, R)
+        for text in schemes:
+            fast = build_histogram(maps, parse_scheme(text)).bins
+            slow = naive_histogram(arr, P, R, text)
+            assert np.array_equal(fast, slow), (P, R, text)
+    count = len(runs) * len(schemes)
+    _ok(7, f"optimized pipeline bitwise-matches the per-pixel loop oracle ({count} histograms)")
 
 
 def test_c08_synthetic_end_to_end(tmp_path):

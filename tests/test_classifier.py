@@ -13,8 +13,8 @@ from cldp import (
     extract_maps,
     parse_scheme,
 )
-from cldp.classifier import _distances_to_models
-from conftest import gray
+from cldp.classifier import _BLOCK_ELEMENTS, _distances_to_models
+from conftest import gray, traced_peak
 from naive import naive_model_distances
 
 
@@ -94,6 +94,17 @@ def test_classify_argmin_survives_rescaling():
         assert classify(t, models)[:2] == classify(t * 37.0, scaled)[:2]
 
 
+def test_classify_memory_does_not_grow_with_models():
+    """The scan's temporaries are a block of rows, not models x dim."""
+    rng = np.random.default_rng(97)
+    dim = 1000
+    query = rng.uniform(0.0, 1.0, size=dim)
+    for n in (800, 2400):  # 12 and 37 blocks' worth of elements
+        models = ModelSet(rng.uniform(0.0, 1.0, size=(n, dim)), range(n))
+        classify(query, models)
+        assert traced_peak(lambda: classify(query, models)) <= 4 * 8 * _BLOCK_ELEMENTS
+
+
 def test_classify_validates_length():
     models = ModelSet([[1.0, 0.0]], [0])
     with pytest.raises(ValueError, match="length"):
@@ -130,6 +141,13 @@ def test_distance_kernel_matches_oracle_bitwise():
     # t = -m on row 0: every nonzero bin of that row has den == 0 and a
     # nonzero numerator, and the term must still be 0.
     cases.append((-models[0], models))
+    # The scan works in blocks of _BLOCK_ELEMENTS // dim rows: 35 models end
+    # on a partial block, and a row longer than a block is a block alone.
+    rows = _BLOCK_ELEMENTS // models.shape[1]
+    assert rows > 1 and 35 % rows != 0
+    cases += [(q, models[:35]) for q in queries[:2]]
+    wide = sparse(3, _BLOCK_ELEMENTS + 1000, 2000)
+    cases += [(q, wide) for q in sparse(2, _BLOCK_ELEMENTS + 1000, 2000)]
     for bins, matrix in cases:
         got = _distances_to_models(bins, matrix)
         assert got.tobytes() == naive_model_distances(bins, matrix).tobytes()

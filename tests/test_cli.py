@@ -279,6 +279,22 @@ def test_bench_missing_dataset_exits_2(tmp_path, capsys):
     assert "mogrify" in capsys.readouterr().err
 
 
+def test_bench_bad_scheme_exits_1_before_suites_load(tmp_path, capsys):
+    suite_cfg = tmp_path / "away.suite"
+    suite_cfg.write_text(
+        "name = away\nroot = /missing/place\n"
+        "train_manifest = t.txt\ntest_manifest = e.txt\n"
+    )
+    cfg = tmp_path / "m.matrix"
+    cfg.write_text(
+        "schemes = CLBP_S, S/Q\ngeometries = (8,2)\nsuites = away.suite\n"
+    )
+    assert main(["bench", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "'Q'" in err
+    assert "mogrify" not in err
+
+
 def test_bench_failed_cells_exit_2(tmp_path, capsys):
     cfg = _matrix_config(tmp_path, schemes="CLBP_S")
     victim = next((tmp_path / "suite" / "images").iterdir())

@@ -9,7 +9,7 @@ from cldp import (
     extract_maps,
     load_pgm,
 )
-from conftest import gray, random_8bit
+from conftest import gray, random_8bit, traced_peak
 
 
 def test_transitions_examples():
@@ -187,6 +187,17 @@ def test_extract_maps_mapper_strategies_agree():
     via_direct = extract_maps(gray(arr), 8, 2.0, mapper=Riu2Mapper(8, "direct"))
     for comp in "SMDC":
         assert np.array_equal(via_lut.component(comp), via_direct.component(comp))
+
+
+def test_extract_maps_holds_one_difference_stack():
+    """Per image, float64 memory is one P x Hv x Wv stack plus O(Hv x Wv):
+    the inner circle of D never gets a stack of its own."""
+    rng = np.random.default_rng(256)
+    img = gray(random_8bit(rng, 256, 256))
+    extract_maps(img, 24, 3.0)  # warm-up: the geometries and the mapper are memoized
+    peak = traced_peak(lambda: extract_maps(img, 24, 3.0))
+    stack = 24 * 250 * 250 * 8
+    assert peak <= 1.5 * stack, peak / stack
 
 
 def test_extract_maps_derivative_gating():

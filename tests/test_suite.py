@@ -29,6 +29,7 @@ from cldp import (
     run_suite,
     save_pgm,
 )
+from cldp.histogram import _parse_scheme
 from conftest import gray, random_8bit
 
 
@@ -276,6 +277,34 @@ def test_cache_key_formats_radius_as_float(tmp_path):
     assert len(list((tmp_path / "cache").rglob("*.hist"))) == 1
 
 
+def test_each_sample_is_read_once(tmp_path, monkeypatch):
+    """One open per sample and pass: with a cache the bytes that are hashed
+    are the bytes that are decoded."""
+    spec = _tiny_suite(tmp_path)
+    samples = {spec.train.abs_path(rel) for rel, _ in spec.train.entries}
+    samples |= {spec.test.abs_path(rel) for rel, _ in spec.test.entries}
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) in samples:
+            opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    rel = spec.train.entries[0][0]
+    path = spec.train.abs_path(rel)
+    scheme = parse_scheme("S/M/D/C")
+    for cache in (None, FeatureCache(tmp_path / "one"), FeatureCache(tmp_path / "one")):
+        histogram_for_file(rel, path, scheme, 8, 2.0, cache)  # no cache, miss, hit
+        assert opened == [path]
+        opened.clear()
+    for _ in ("cold", "warm"):
+        run_suite(spec, "S/M/D/C", 8, 2.0, cache_dir=tmp_path / "two")
+        assert sorted(opened) == sorted(samples)
+        opened.clear()
+
+
 def test_histogram_for_file_missing_file(tmp_path):
     with pytest.raises(SuiteError, match="gone.pgm"):
         histogram_for_file("gone.pgm", str(tmp_path / "gone.pgm"),
@@ -394,6 +423,19 @@ def test_load_matrix_config_rejects_bad_input(tmp_path):
     cfg.write_text("schemes = S/Q\ngeometries = (8,2)\nsuites = tiny/suite.cfg\n")
     with pytest.raises(ValueError):
         load_matrix_config(cfg)
+
+
+def test_matrix_parses_each_scheme_once(tmp_path):
+    _tiny_suite(tmp_path)
+    cfg = tmp_path / "m.matrix"
+    cfg.write_text(
+        "schemes = CLBP_S, CLDP_S/D\n"
+        "geometries = (8,2), (8,3)\n"
+        "suites = tiny/suite.cfg\n"
+    )
+    _parse_scheme.cache_clear()
+    run_matrix(load_matrix_config(cfg))
+    assert _parse_scheme.cache_info().misses == 2
 
 
 def test_matrix_progress_callback(tmp_path):
