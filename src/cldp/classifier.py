@@ -59,11 +59,17 @@ def chi_square(t, m) -> float:
     return math.fsum(_chi_terms(ta, ma).tolist())
 
 
+def _check_finite(bins: np.ndarray, what: str) -> None:
+    if not np.isfinite(bins).all():
+        raise ValueError(f"{what} histogram has non-finite bins")
+
+
 class ModelSet:
     """Training histograms stacked for fast nearest-neighbor queries.
 
     Models keep the order they are given in; an exact distance tie goes to
-    the model that comes first.
+    the model that comes first. Every bin must be finite: a nan or inf
+    distance would hide the nearest model.
     """
 
     def __init__(self, histograms, labels):
@@ -78,7 +84,10 @@ class ModelSet:
             if isinstance(h, FeatureHistogram) and isinstance(first, FeatureHistogram):
                 if h.scheme != first.scheme or h.P != first.P:
                     raise ValueError("all models must share one scheme and P")
-        self.matrix = np.stack([_bins_of(h) for h in histograms])
+        rows = [_bins_of(h) for h in histograms]
+        for k, row in enumerate(rows):
+            _check_finite(row, f"model {k}")
+        self.matrix = np.stack(rows)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.scheme = first.scheme if isinstance(first, FeatureHistogram) else None
         self.P = first.P if isinstance(first, FeatureHistogram) else None
@@ -120,7 +129,8 @@ def _nearest(t, models: ModelSet):
     """Index of the nearest model, the indices of every model at the minimum
     distance, and the distances to all models.
 
-    Exact distance ties go to the model with the lowest index.
+    Exact distance ties go to the model with the lowest index. A query with
+    a non-finite bin raises ValueError.
     """
     bins = _bins_of(t)
     if bins.shape != models.matrix.shape[1:]:
@@ -128,6 +138,7 @@ def _nearest(t, models: ModelSet):
             f"test histogram length {bins.size} does not match models "
             f"({models.matrix.shape[1]})"
         )
+    _check_finite(bins, "test")
     d = _distances_to_models(bins, models.matrix)
     winner = int(np.argmin(d))
     return winner, np.flatnonzero(d == d[winner]), d

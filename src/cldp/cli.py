@@ -9,9 +9,12 @@ default --cache-dir. Features, reports and tables are written atomically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 from . import __version__
 from .histogram import check_scheme, format_histogram_csv_row, histogram_to_bytes
@@ -23,8 +26,8 @@ from .suite import (
     MatrixCell,
     SuiteError,
     SuiteSpec,
-    atomic_write_bytes,
     atomic_write_text,
+    atomic_writer,
     cells_csv_text,
     histogram_for_file,
     load_matrix_config,
@@ -62,7 +65,31 @@ def _emit_text(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+@contextlib.contextmanager
+def _output(out):
+    """A binary file for a command's output that shows up only on success:
+    with out, a temp file renamed to out; without, an anonymous temp file
+    copied to stdout. A failure leaves no file and writes nothing."""
+    if out:
+        with atomic_writer(out) as fh:
+            yield fh
+        return
+    with tempfile.TemporaryFile() as spool:
+        yield spool
+        spool.seek(0)
+        sys.stdout.flush()
+        shutil.copyfileobj(spool, sys.stdout.buffer)
+        sys.stdout.buffer.flush()
+
+
 def cmd_extract(args) -> int:
+    """Write one histogram per image: a CSV row per manifest entry, in
+    manifest order, or the binary form of a single image.
+
+    Rows are formatted and written as map_ordered yields the histograms, so
+    memory holds one image's work plus a bounded window of results whatever
+    the manifest length. The output appears only when every image succeeds.
+    """
     expr = check_scheme(args.scheme, args.R)
     fmt, root = _manifest_source(args.input, args)
     if fmt is not None:
@@ -82,18 +109,12 @@ def cmd_extract(args) -> int:
         tasks,
         args.workers,
     )
-    if args.format == "binary":
-        payload = histogram_to_bytes(hists[0])
-        if args.out:
-            atomic_write_bytes(args.out, payload)
+    with _output(args.out) as fh:
+        if args.format == "binary":
+            fh.write(histogram_to_bytes(next(hists)))
         else:
-            sys.stdout.buffer.write(payload)
-        return 0
-    text = "".join(
-        format_histogram_csv_row(rel, label, h) + "\n"
-        for (rel, label, _), h in zip(tasks, hists)
-    )
-    _emit_text(text, args.out)
+            for h, (rel, label, _) in zip(hists, tasks):
+                fh.write((format_histogram_csv_row(rel, label, h) + "\n").encode("utf-8"))
     return 0
 
 

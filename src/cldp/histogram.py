@@ -212,14 +212,21 @@ def format_histogram_csv_row(path: str, label: int, hist: FeatureHistogram) -> s
     """One CSV line: path,label,scheme,P,R,b_0,...,b_{N-1} at 17 significant digits.
 
     Most bins of a sparse histogram are +0.0, which formats as "0"; only the
-    others (including -0.0 and nan) go through the formatter.
+    others (including -0.0 and nan) go through the formatter, once per
+    distinct value: a histogram of pixel counts repeats few values.
     """
     head = f"{path},{label},{hist.scheme},{hist.P},{hist.R:.17g}"
     bins = hist.bins
     cells = ["0"] * bins.size
-    values = bins.tolist()
-    for i in np.flatnonzero((bins != 0.0) | np.signbit(bins)).tolist():
-        cells[i] = f"{values[i]:.17g}"
+    nonzero = np.flatnonzero((bins != 0.0) | np.signbit(bins))
+    # +0.0 never enters, so the -0.0 key cannot stand for it; nan never
+    # equals a key, so each nan is formatted on its own.
+    texts = {}
+    for i, v in zip(nonzero.tolist(), bins[nonzero].tolist()):
+        text = texts.get(v)
+        if text is None:
+            text = texts[v] = f"{v:.17g}"
+        cells[i] = text
     return f"{head},{','.join(cells)}"
 
 

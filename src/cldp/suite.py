@@ -21,6 +21,8 @@ corruption is a hard error naming the sample rather than a silent recompute.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
 import math
 import os
@@ -65,14 +67,19 @@ class ConfigError(ValueError):
     """A suite or matrix config file cannot be parsed."""
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file plus rename so readers never see partial output."""
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A binary file to stream output into; readers never see partial output.
+
+    The data goes to a temp file beside path, which replaces path when the
+    block exits normally and is deleted when it raises.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,23 +87,51 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path, data: bytes) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(data)
+
+
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def map_ordered(fn, items, workers: int) -> list:
-    """Apply fn to every item on up to workers threads, results in item order.
+# Items map_ordered keeps submitted but not yet consumed, per worker: one
+# running and one queued, so a worker that finishes has its next item ready
+# while results wait to be consumed in order.
+_WINDOW_PER_WORKER = 2
 
-    workers None or < 1 means one thread per CPU core. The output is
-    identical for any worker count; the first failing item, in item order,
-    raises.
+
+def map_ordered(fn, items, workers: int):
+    """Yield fn(item) for every item, in item order, computed on up to
+    workers threads.
+
+    workers None or < 1 means one thread per CPU core. The results are
+    produced lazily: at most _WINDOW_PER_WORKER x workers items are
+    submitted and not yet consumed, so a consumer that keeps only what it
+    needs holds a bounded number of results whatever the number of items.
+    The output is identical for any worker count. The first failing item,
+    in item order, raises, and items past the window are never started.
     """
     if workers is None or workers < 1:
         workers = os.cpu_count() or 1
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    if workers == 1:
+        for item in items:
+            yield fn(item)
+        return
+    window = _WINDOW_PER_WORKER * workers
+    pending = collections.deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 class SuiteSpec:
@@ -367,24 +402,37 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
     return hist
 
 
+def _files(manifest) -> list:
+    return [(rel, manifest.abs_path(rel)) for rel, _ in manifest.entries]
+
+
+def _split_key(manifest, workers: int):
+    """The ordered (content SHA-256, label) list of a manifest's samples, or
+    None when a sample cannot be read: its run then reports that sample."""
+    try:
+        digests = list(map_ordered(lambda e: _read_sample(*e)[1], _files(manifest), workers))
+    except SuiteError:
+        return None
+    return tuple(zip(digests, (label for _, label in manifest.entries)))
+
+
 def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache | None,
-                 workers: int, normalize: bool) -> list:
+                 workers: int, normalize: bool, trained=None, split_key=None) -> list:
     """One EvalReport per scheme, in order, for one suite at one geometry.
 
     Two ordered passes over the worker pool. Train: each file's maps come
     from the cache, keyed by the file's hash, or from one extraction, and
     every scheme's histogram is built from them and stacked into one
-    ModelSet per scheme. Test: a worker builds a file's histograms and
-    classifies each at once, returning only (label, tied) per scheme, so the
-    test histograms are never all held at once. The first failing sample in
-    manifest order raises, and the reports do not depend on the worker
-    count.
+    ModelSet per scheme. When trained (a dict) holds model sets under
+    split_key they are used instead, and model sets built under a split_key
+    are added to it; a failed train pass adds nothing. Test: a worker builds
+    a file's histograms and classifies each at once, returning only
+    (label, tied) per scheme, so the test histograms are never all held at
+    once. The first failing sample in manifest order raises, and the reports
+    do not depend on the worker count.
     """
     texts = [str(s) for s in schemes]
     exprs = [check_scheme(s, R) for s in schemes]
-
-    def files(manifest):
-        return [(rel, manifest.abs_path(rel)) for rel, _ in manifest.entries]
 
     def histograms(entry):
         rel, abs_path = entry
@@ -392,15 +440,19 @@ def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache
         maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalize)
         return [build_histogram(maps, expr) for expr in exprs]
 
-    train = map_ordered(histograms, files(spec.train), workers)
-    train_labels = [label for _, label in spec.train.entries]
-    models = [ModelSet([h[k] for h in train], train_labels) for k in range(len(exprs))]
-    del train  # the model sets hold their own copies
+    models = trained.get(split_key) if split_key is not None else None
+    if models is None:
+        train = list(map_ordered(histograms, _files(spec.train), workers))
+        train_labels = [label for _, label in spec.train.entries]
+        models = [ModelSet([h[k] for h in train], train_labels) for k in range(len(exprs))]
+        del train  # the model sets hold their own copies
+        if split_key is not None:
+            trained[split_key] = models
 
     def outcomes(entry):
         return [predict(h, m) for h, m in zip(histograms(entry), models)]
 
-    tested = map_ordered(outcomes, files(spec.test), workers)
+    tested = list(map_ordered(outcomes, _files(spec.test), workers))
     truth = [label for _, label in spec.test.entries]
     return [summarize(truth, [o[k] for o in tested], m, suite=spec.name, scheme=text)
             for k, (text, m) in enumerate(zip(texts, models))]
@@ -560,7 +612,10 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
     The work goes geometry by geometry and suite by suite, all schemes at
     once, so each image is read and its maps made or loaded once per
     geometry and suite; a failure fails every scheme's cell of that
-    (geometry, suite). Cells are listed scheme by scheme, then by geometry
+    (geometry, suite). Suites whose training splits hold the same
+    (content SHA-256, label) sequence share that geometry's model sets,
+    built by the first of them that succeeds; they are dropped when the
+    geometry is done. Cells are listed scheme by scheme, then by geometry
     and suite. Aggregate rows are appended per (scheme, geometry): AVG3 when
     the matrix has exactly three suites, AVG2-TC12 when exactly two suite
     names contain 'TC12'. Both are plain means of the per-suite accuracies,
@@ -569,16 +624,19 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
     cache = FeatureCache(cache_dir) if cache_dir else None
     suite_names = tuple(s.name for s in matrix.suites)
     tc12 = [n for n in suite_names if "TC12" in n.upper()]
+    split_keys = [_split_key(spec.train, workers) for spec in matrix.suites]
     # grid[g][s][k]: the cell of scheme k at geometry g on suite s.
     grid = []
     for P, R in matrix.geometries:
+        trained = {}  # this geometry's model sets, by training split
         row = []
-        for spec in matrix.suites:
+        for spec, split_key in zip(matrix.suites, split_keys):
             if progress:
                 for scheme in matrix.schemes:
                     progress(f"{scheme} ({P},{R:g}) {spec.name}")
             try:
-                reports = _run_schemes(spec, matrix.schemes, P, R, cache, workers, normalize)
+                reports = _run_schemes(spec, matrix.schemes, P, R, cache, workers, normalize,
+                                       trained, split_key)
                 row.append([MatrixCell(scheme, P, float(R), spec.name, rep.accuracy, rep.ties)
                             for scheme, rep in zip(matrix.schemes, reports)])
             except Exception as err:  # recorded, surfaced via exit code

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cldp import (
     extract_maps,
     parse_scheme,
 )
-from cldp.classifier import _BLOCK_ELEMENTS, _distances_to_models
+from cldp.classifier import _BLOCK_ELEMENTS, _distances_to_models, predict
 from conftest import gray, traced_peak
 from naive import naive_model_distances
 
@@ -111,6 +112,28 @@ def test_classify_validates_length():
         classify([1.0, 0.0, 0.0], models)
     with pytest.raises(ValueError, match="length"):
         classify(1.0, models)
+
+
+def test_classify_rejects_non_finite_query():
+    # With a nan bin every distance is nan, and argmin would pick model 0.
+    models = ModelSet([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    for bad in ([math.nan, 1.0], [0.0, math.inf], [-math.inf, 1.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            classify(bad, models)
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(bad, models)
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate([(bad, 1)], models)
+
+
+def test_model_set_rejects_non_finite_models():
+    # classify([0, 1], ...) returned model 0 at distance nan, though model 1
+    # is an exact match.
+    for bad in ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]):
+        with pytest.raises(ValueError, match="model 0 histogram has non-finite"):
+            ModelSet([bad, [0.0, 1.0]], [0, 1])
+        with pytest.raises(ValueError, match="model 1 histogram has non-finite"):
+            ModelSet([[0.0, 1.0], bad], [0, 1])
 
 
 def test_evaluate_validates_length():

@@ -13,7 +13,8 @@ from cldp import (
 )
 from cldp import cli
 from cldp.cli import main
-from conftest import gray, random_8bit
+from cldp.suite import _WINDOW_PER_WORKER
+from conftest import gray, random_8bit, traced_peak
 
 
 def _write_images(tmp_path, count=3, size=32, seed=70):
@@ -111,16 +112,23 @@ def test_extract_rejects_derivative_at_r1(tmp_path, capsys):
 EXTRACT_CSV_SHA256 = "c962c4920dad98e0b1388007096c2a2a3851b8caa66d52b9d957bc4d226cb47b"
 
 
-def test_extract_csv_bytes_are_pinned(tmp_path):
+@pytest.mark.parametrize("to", ["stdout", "out"])
+def test_extract_csv_bytes_are_pinned(tmp_path, capsysbinary, to):
     spec = make_synthetic_suite(tmp_path / "suite", seed=7, classes=3,
                                 samples_per_class=2, size=32)
     manifest = tmp_path / "all.csv"
     manifest.write_text("".join(f"{rel},{label}\n"
                                 for rel, label in spec.train.entries + spec.test.entries))
+    args = ["extract", str(manifest), "--root", spec.train.root,
+            "-P", "8", "-R", "3", "--scheme", "S/M/D/C"]
     out = tmp_path / "out.csv"
-    assert main(["extract", str(manifest), "--root", spec.train.root,
-                 "-P", "8", "-R", "3", "--scheme", "S/M/D/C", "--out", str(out)]) == 0
-    data = out.read_bytes()
+    if to == "out":
+        args += ["--out", str(out)]
+    assert main(args) == 0
+    data = capsysbinary.readouterr().out
+    if to == "out":
+        assert data == b""
+        data = out.read_bytes()
     assert data.count(b"\n") == 12
     assert hashlib.sha256(data).hexdigest() == EXTRACT_CSV_SHA256
 
@@ -143,9 +151,47 @@ def test_extract_sample_deleted_after_manifest_load_exits_2(tmp_path, capsys, mo
     args = ["extract", str(manifest), "--root", str(img_dir), "-P", "8", "-R", "2"]
     if with_cache:
         args += ["--cache-dir", str(tmp_path / "cache")]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert f"sample {names[1]}:" in err
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    kept = (img_dir / names[1]).read_bytes()
+    # The failing sample is the second of three: the first row is already
+    # written when it fails.
+    for out in (None, out_dir / "features.csv"):
+        (img_dir / names[1]).write_bytes(kept)
+        assert main(args + (["--out", str(out)] if out else [])) == 2
+        captured = capsys.readouterr()
+        assert f"sample {names[1]}:" in captured.err
+        assert captured.out == ""
+        assert not list(out_dir.iterdir())  # no output file, no .tmp-* file
+        assert not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_extract_memory_does_not_grow_with_manifest(tmp_path, workers):
+    """Rows are written as the histograms come: 4N images peak no higher
+    than N, plus the histograms that can be in flight at once (the window
+    of map_ordered and the one being written)."""
+    img_dir, names = _write_images(tmp_path, count=48, size=24)
+    out = tmp_path / "features.csv"
+
+    def extract(n):
+        manifest = tmp_path / f"list{n}.csv"
+        manifest.write_text("".join(f"{name},0\n" for name in names[:n]))
+        argv = ["extract", str(manifest), "--root", str(img_dir), "-P", "24", "-R", "3",
+                "--scheme", "S/M/D/C", "--workers", str(workers), "--out", str(out)]
+
+        def run():
+            assert main(argv) == 0
+
+        return traced_peak(run)
+
+    extract(12)  # warm-up: memoized geometry, mapper and scheme
+    small = extract(12)
+    large = extract(48)
+    assert out.read_bytes().count(b"\n") == 48
+    hist_bytes = 2 * 26 ** 3 * 8  # S/M/D/C at P=24
+    slack = (_WINDOW_PER_WORKER * workers + 1) * hist_bytes
+    assert large <= small + slack, (small, large, slack)
 
 
 def test_extract_uses_cache_dir_env(tmp_path, monkeypatch, capsys):

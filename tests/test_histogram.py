@@ -172,10 +172,12 @@ def test_csv_row_format():
 
 
 def test_csv_row_matches_formatting_every_bin():
-    """Skipping the formatter for +0.0 bins changes no byte: -0.0, the
-    smallest subnormal, inf and nan are still formatted."""
+    """Skipping the formatter for +0.0 bins and formatting each distinct
+    value once change no byte: -0.0, the smallest subnormal, inf and nan are
+    still formatted, repeated or not."""
     values = [0.0, -0.0, 5e-324, 1.0 / 3.0, 1.0, 1e300, math.inf, math.nan,
-              -1.0 / 3.0, -math.inf, 0.0]
+              -1.0 / 3.0, -math.inf, 0.0, 1.0 / 3.0, -0.0, math.nan, 0.0, 1.0,
+              -math.nan, -0.0, 1.0 / 3.0]
     hist = FeatureHistogram(scheme=parse_scheme("S"), P=8, R=2.0,
                             bins=np.array(values), dims=(len(values),))
     want = "img/a.pgm,3,S,8,2," + ",".join(f"{v:.17g}" for v in values)

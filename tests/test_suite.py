@@ -1,6 +1,8 @@
 import hashlib
 import os
 import shutil
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +31,9 @@ from cldp import (
     run_suite,
     save_pgm,
 )
+from cldp import suite as suite_module
 from cldp.histogram import _parse_scheme
+from cldp.suite import _WINDOW_PER_WORKER, map_ordered
 from conftest import gray, random_8bit
 
 
@@ -496,6 +500,62 @@ def test_run_matrix_cells_equal_per_scheme_evaluation(tmp_path, workers):
         assert got == want
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_matrix_builds_each_shared_training_split_once(tmp_path, monkeypatch, workers):
+    """The three suites' training images are byte-identical under three
+    roots: one ModelSet per (geometry, scheme), and the cells of
+    test_run_matrix_cells_equal_per_scheme_evaluation."""
+    suites = _shared_train_suites(tmp_path)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES,
+                              suites=suites)
+    want = {(scheme, P, R, spec.name): _evaluated_cell(spec, scheme, P, R)
+            for scheme in _FUSED_SCHEMES for P, R in _FUSED_GEOMETRIES for spec in suites}
+    built = []
+    real_model_set = suite_module.ModelSet
+
+    def counting_model_set(histograms, labels):
+        built.append(histograms[0].scheme)
+        return real_model_set(histograms, labels)
+
+    monkeypatch.setattr(suite_module, "ModelSet", counting_model_set)
+    cache_dir = tmp_path / "cache"
+    for run_cache in (None, cache_dir, cache_dir):  # no cache, cold, warm
+        report = run_matrix(matrix, cache_dir=run_cache, workers=workers)
+        got = {(c.scheme, c.P, c.R, c.suite): (c.accuracy, c.ties)
+               for c in report.cells if c.suite != "AVG3"}
+        assert got == want
+        assert len(built) == len(_FUSED_GEOMETRIES) * len(_FUSED_SCHEMES)
+        assert [str(b) for b in built] == [str(parse_scheme(s)) for s in _FUSED_SCHEMES] * 2
+        built.clear()
+
+
+def test_run_matrix_does_not_share_a_failed_training_split(tmp_path, monkeypatch):
+    """The same corrupt training image in every suite: each suite's own
+    train pass reads it and fails naming it."""
+    suites = _shared_train_suites(tmp_path)
+    victim = suites[0].train.entries[3][0]
+    for spec in suites:
+        with open(spec.train.abs_path(victim), "r+b") as fh:
+            fh.write(b"XX")
+    loaded = []
+    real_load_image = suite_module.load_image
+
+    def recording_load_image(path, data=None):
+        loaded.append(str(path))
+        return real_load_image(path, data)
+
+    monkeypatch.setattr(suite_module, "load_image", recording_load_image)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES,
+                              suites=suites)
+    report = run_matrix(matrix, workers=3)
+    for cell in report.cells:
+        assert cell.accuracy is None
+        if cell.suite != "AVG3":
+            assert f"sample {victim}: not a P5 PGM" in cell.error
+    victims = [spec.train.abs_path(victim) for spec in suites]
+    assert sorted(p for p in loaded if p in victims) == sorted(victims * 2)
+
+
 def test_run_matrix_missing_test_image_fails_only_its_suite(tmp_path):
     suites = _shared_train_suites(tmp_path)
     matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES,
@@ -529,3 +589,52 @@ def test_run_matrix_cold_cache_holds_one_maps_entry_per_input(tmp_path):
     assert len(contents) == 18 + 3 * 18
     assert not list(cache_dir.rglob("*.hist"))
     assert len(list(cache_dir.rglob("*.maps"))) == len(contents) * len(_FUSED_GEOMETRIES)
+
+
+def test_map_ordered_keeps_a_bounded_window():
+    """Submitted but unconsumed items never exceed the window, even when the
+    consumer is slower than the workers."""
+    for workers in (1, 3):
+        window = _WINDOW_PER_WORKER * workers
+        lock = threading.Lock()
+        started = consumed = most = 0
+
+        def square(i):
+            nonlocal started, most
+            with lock:
+                started += 1
+                most = max(most, started - consumed)
+            return i * i
+
+        got = []
+        for value in map_ordered(square, range(40), workers):
+            time.sleep(0.001)
+            got.append(value)
+            with lock:
+                consumed += 1
+        assert got == [i * i for i in range(40)]
+        assert most <= window
+
+
+def test_map_ordered_raises_first_failure_without_starting_past_window():
+    workers = 3
+    window = _WINDOW_PER_WORKER * workers
+    lock = threading.Lock()
+    started = set()
+
+    def fn(i):
+        with lock:
+            started.add(i)
+        if i == 5:
+            time.sleep(0.05)  # item 6 fails first in time, 5 first in order
+            raise ValueError("item 5")
+        if i == 6:
+            raise ValueError("item 6")
+        return i
+
+    got = []
+    with pytest.raises(ValueError, match="item 5"):
+        for value in map_ordered(fn, range(100), workers):
+            got.append(value)
+    assert got == [0, 1, 2, 3, 4]
+    assert max(started) < 5 + window
