@@ -1,9 +1,12 @@
 """Command-line front end: extract, classify, bench, enumerate-codes, synth.
 
-Exit codes are a stable contract for scripting: 0 success, 1 input or
-usage error, 2 experiment failure (absent dataset, failed benchmark cell,
-corrupt cache). The CLDP_CACHE_DIR environment variable supplies the
-default --cache-dir. Features, reports and tables are written atomically.
+Exit codes are a stable contract for scripting: 0 success; 1 usage or
+configuration error (bad flag, scheme, geometry, manifest or config file),
+raised before any sample is read; 2 experiment failure (absent dataset, a
+sample that cannot be read, decoded or extracted, named in the message,
+corrupt cache, failed benchmark cell). The CLDP_CACHE_DIR environment
+variable supplies the default --cache-dir. Features, reports and tables
+are written atomically.
 """
 
 from __future__ import annotations
@@ -58,13 +61,6 @@ def _manifest_source(path: str, args):
     return fmt, root
 
 
-def _emit_text(text: str, out) -> None:
-    if out:
-        atomic_write_text(out, text)
-    else:
-        sys.stdout.write(text)
-
-
 @contextlib.contextmanager
 def _output(out):
     """A binary file for a command's output that shows up only on success:
@@ -90,7 +86,7 @@ def cmd_extract(args) -> int:
     memory holds one image's work plus a bounded window of results whatever
     the manifest length. The output appears only when every image succeeds.
     """
-    expr = check_scheme(args.scheme, args.R)
+    expr = check_scheme(args.scheme, args.P, args.R)
     fmt, root = _manifest_source(args.input, args)
     if fmt is not None:
         if args.format == "binary":
@@ -131,7 +127,7 @@ def _adhoc_suite(args) -> SuiteSpec:
 
 
 def cmd_classify(args) -> int:
-    check_scheme(args.scheme, args.R)
+    check_scheme(args.scheme, args.P, args.R)
     if args.config:
         if args.train or args.test:
             raise ValueError("--config and --train/--test are mutually exclusive")
@@ -152,7 +148,8 @@ def cmd_classify(args) -> int:
                                           rep.accuracy, rep.ties)])
     else:
         text = rep.to_text()
-    _emit_text(text, args.out)
+    with _output(args.out) as fh:
+        fh.write(text.encode("utf-8"))
     return 0
 
 
@@ -168,16 +165,13 @@ def cmd_bench(args) -> int:
     )
     if args.out:
         atomic_write_text(args.out, report.to_csv_text())
-    _emit_text(report.to_table_text(), args.table)
-    if report.failed:
-        for cell in report.cells:
-            if cell.error is not None:
-                print(
-                    f"FAILED {cell.scheme} ({cell.P},{cell.R:g}) {cell.suite}: {cell.error}",
-                    file=sys.stderr,
-                )
-        return 2
-    return 0
+    with _output(args.table) as fh:
+        fh.write(report.to_table_text().encode("utf-8"))
+    for cell in report.cells:
+        if cell.error is not None:
+            print(f"FAILED {cell.scheme} ({cell.P},{cell.R:g}) {cell.suite}: {cell.error}",
+                  file=sys.stderr)
+    return 2 if report.failed else 0
 
 
 def cmd_enumerate_codes(args) -> int:
@@ -222,13 +216,20 @@ def _add_geometry_flags(p) -> None:
                    help="component scheme, '/' joint and '_' concatenated (default S/M/D/C)")
 
 
+def _workers(text: str) -> int:
+    """--workers: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_runtime_flags(p) -> None:
     p.add_argument("--normalize", choices=["mean128-std20"], default=None,
                    help="global gray-level normalization before encoding (default off)")
     p.add_argument("--cache-dir", default=os.environ.get("CLDP_CACHE_DIR"),
                    help="feature cache directory (default $CLDP_CACHE_DIR)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads, 0 = one per CPU core (default 1)")
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="worker threads, >= 0; 0 = one per CPU core (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,12 +292,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, SuiteError, CacheError) as err:
         print(f"cldp: error: {err}", file=sys.stderr)
-        return 1
-    except (SuiteError, CacheError) as err:
-        print(f"cldp: error: {err}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(err, (SuiteError, CacheError)) else 1
 
 
 if __name__ == "__main__":

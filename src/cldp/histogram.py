@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .patterns import PatternMaps, derivative_error, has_derivative
+from .sampler import make_geometry
 
 COMPONENTS = "SMDC"
 _PREFIXES = ("CLDP_", "CLBP_")
@@ -122,10 +123,12 @@ def _parse_scheme(text: str) -> SchemeExpr:
     return SchemeExpr(tuple(groups))
 
 
-def check_scheme(scheme, R: float) -> SchemeExpr:
-    """Parse scheme (a string or a SchemeExpr) and check that radius R can
-    supply its components: D needs R >= 2."""
+def check_scheme(scheme, P: int, R: float) -> SchemeExpr:
+    """Parse scheme (a string or a SchemeExpr) and check that make_geometry
+    accepts (P, R) and that R can supply the scheme's components: D needs
+    R >= 2. Entry points call this before they touch a file."""
     expr = scheme if isinstance(scheme, SchemeExpr) else parse_scheme(scheme)
+    make_geometry(P, R)
     if expr.uses("D") and not has_derivative(R):
         raise derivative_error(f"scheme {scheme}", R)
     return expr

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 
 import numpy as np
 
@@ -132,18 +133,6 @@ def save_pgm(img: GrayImage, path) -> None:
         fh.write(px.tobytes())
 
 
-def _u16(data, off):
-    return int.from_bytes(data[off : off + 2], "little")
-
-
-def _u32(data, off):
-    return int.from_bytes(data[off : off + 4], "little")
-
-
-def _i32(data, off):
-    return int.from_bytes(data[off : off + 4], "little", signed=True)
-
-
 def load_bmp8(path) -> GrayImage:
     """Read an uncompressed 8-bit palettized BMP file; see parse_bmp8."""
     return parse_bmp8(_read_bytes(path))
@@ -161,15 +150,12 @@ def parse_bmp8(data: bytes) -> GrayImage:
         raise FormatError(f"not a BMP (magic {data[:2]!r} at byte 0)")
     if len(data) < 54:
         raise FormatError(f"truncated BMP header: {len(data)} bytes")
-    pix_off = _u32(data, 10)
-    hdr_size = _u32(data, 14)
+    # Little-endian fields at fixed offsets of the file and DIB headers.
+    pix_off, hdr_size, width, height, _, bits, compression = struct.unpack_from(
+        "<IIiiHHI", data, 10)
+    (clr_used,) = struct.unpack_from("<I", data, 46)
     if hdr_size < 40:
         raise FormatError(f"unsupported DIB header size {hdr_size}")
-    width = _i32(data, 18)
-    height = _i32(data, 22)
-    bits = _u16(data, 28)
-    compression = _u32(data, 30)
-    clr_used = _u32(data, 46)
     if bits != 8:
         raise FormatError(f"unsupported bit depth {bits} (8-bit palette only)")
     if compression != 0:
@@ -238,12 +224,11 @@ def normalize_image(img: GrayImage, mean: float = 128.0, std: float = 20.0) -> G
 class Manifest:
     """An ordered list of (relative path, label) pairs under a root directory."""
 
-    __slots__ = ("root", "entries", "source")
+    __slots__ = ("root", "entries")
 
-    def __init__(self, root, entries, source="native-csv"):
+    def __init__(self, root, entries):
         self.root = str(root)
         self.entries = tuple((str(p), int(l)) for p, l in entries)
-        self.source = source
         seen = set()
         for p, label in self.entries:
             if label < 0:
@@ -335,4 +320,4 @@ def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
         )
     if not entries:
         raise ManifestError(f"{path}: empty manifest")
-    return Manifest(root, entries, source=fmt)
+    return Manifest(root, entries)

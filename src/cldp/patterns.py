@@ -151,10 +151,13 @@ def _push_bit(codes: np.ndarray, bits: np.ndarray) -> None:
 def canonical_intensity(pixels: np.ndarray):
     """Map pixels affinely onto [0, 1] by their own min and max.
 
-    Any img' = a*img + b with a > 0 canonicalizes to the same array, so the
-    threshold decisions downstream are invariant under affine intensity
-    changes by construction (bitwise, not approximately). A constant image
-    maps to zeros.
+    img' = a*img + b with a > 0 canonicalizes to the same array, and so
+    gives the same maps bitwise, when every pixel of a*img + b is exact in
+    float64, as for a in {0.5, 3} and integer b on 8-bit images (the cases
+    the tests check). Otherwise the rounding of a*img + b reaches the
+    canonical pixels: with a = 1.1 and b = 0.3 they change in the last
+    bits, and so can c_m, c_I and any threshold decision that sits on a
+    tie. A constant image maps to zeros.
     """
     lo = float(pixels.min())
     hi = float(pixels.max())

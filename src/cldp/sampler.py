@@ -97,17 +97,19 @@ def _rotated(o: NeighborOffset) -> NeighborOffset:
 def make_geometry(P: int, R: float) -> SamplingGeometry:
     """Build the P sampling offsets for radius R.
 
-    P must be an integer >= 4 and R a real >= 1. Displacements within
-    SNAP_TOL of an integer snap to a single tap with weight 1. Geometries
-    are frozen and memoized per (P, R), so every image sampled at one
-    geometry shares a single instance; bad arguments raise on every call.
+    This is the one statement of which geometries the pipeline accepts: P
+    an integer in [4, 24], the widths the riu2 mapping serves, and R a
+    finite real >= 1. Displacements within SNAP_TOL of an integer snap to a
+    single tap with weight 1. Geometries are frozen and memoized per (P, R),
+    so every image sampled at one geometry shares a single instance; bad
+    arguments raise on every call.
     """
-    if int(P) != P or P < 4:
-        raise ValueError(f"P must be an integer >= 4, got {P}")
+    if not 4 <= P <= 24 or int(P) != P:
+        raise ValueError(f"P must be an integer in [4, 24], got {P}")
     P = int(P)
     R = float(R)
-    if not R >= 1.0:
-        raise ValueError(f"R must be >= 1, got {R}")
+    if not (math.isfinite(R) and R >= 1.0):
+        raise ValueError(f"R must be a finite real >= 1, got {R}")
     if P % 4 == 0:
         q = P // 4
         offsets = [

@@ -52,7 +52,8 @@ _MAPS_MAGIC = b"CLDPM1"
 
 
 class SuiteError(RuntimeError):
-    """A suite run failed (bad sample, impossible configuration, ...)."""
+    """A suite run failed: an absent dataset or a sample that cannot be read,
+    decoded or extracted."""
 
 
 class DatasetError(SuiteError):
@@ -146,15 +147,11 @@ class SuiteSpec:
             raise ValueError(
                 f"suite {name}: train labels {train.labels()} != test labels {test.labels()}"
             )
-        if expected is not None:
-            want_train, want_test = expected
-            if want_train is not None and len(train) != want_train:
+        for split, manifest, want in zip(("training", "test"), (train, test),
+                                         expected or (None, None)):
+            if want is not None and len(manifest) != want:
                 raise ValueError(
-                    f"suite {name}: expected {want_train} training samples, found {len(train)}"
-                )
-            if want_test is not None and len(test) != want_test:
-                raise ValueError(
-                    f"suite {name}: expected {want_test} test samples, found {len(test)}"
+                    f"suite {name}: expected {want} {split} samples, found {len(manifest)}"
                 )
         self.name = name
         self.train = train
@@ -213,16 +210,13 @@ def load_suite_config(path) -> SuiteSpec:
     )
     if not os.path.isdir(root):
         raise DatasetError(f"{path}: image root {root} does not exist. {dataset_help}")
-    expected = None
-    if "expected_train" in values or "expected_test" in values:
-        def _count(key):
-            if key not in values:
-                return None
-            try:
-                return int(values[key])
-            except ValueError:
-                raise ConfigError(f"{path}: bad integer for {key!r}") from None
-        expected = (_count("expected_train"), _count("expected_test"))
+    def _count(key):
+        try:
+            return int(values[key]) if key in values else None
+        except ValueError:
+            raise ConfigError(f"{path}: bad integer for {key!r}") from None
+
+    expected = (_count("expected_train"), _count("expected_test"))
     try:
         train = load_manifest(_resolve_config_path(values["train_manifest"], config_dir), root, fmt)
         test = load_manifest(_resolve_config_path(values["test_manifest"], config_dir), root, fmt)
@@ -340,14 +334,22 @@ class FeatureCache:
         atomic_write_bytes(self._path(key, "hist"), _seal(histogram_to_bytes(hist)))
 
 
-def _read_sample(rel: str, abs_path: str) -> tuple:
+@contextlib.contextmanager
+def _sample_errors(rel: str):
+    """Raise an OSError or ValueError from reading, decoding, normalizing or
+    extracting sample rel as a SuiteError naming it; the configuration was
+    checked before, so the error is the sample's. CacheError passes."""
+    try:
+        yield
+    except (OSError, ValueError) as err:
+        raise SuiteError(f"sample {rel}: {err}") from None
+
+
+def _read_sample(abs_path: str) -> tuple:
     """(bytes, SHA-256 hex digest) of a sample file, read once: the digest
     keys the cache, and on a miss the same bytes are decoded."""
-    try:
-        with open(abs_path, "rb") as fh:
-            data = fh.read()
-    except OSError as err:
-        raise SuiteError(f"sample {rel}: {err}") from None
+    with open(abs_path, "rb") as fh:
+        data = fh.read()
     return data, hashlib.sha256(data).hexdigest()
 
 
@@ -364,10 +366,7 @@ def _maps_for_file(rel: str, abs_path: str, sample: tuple | None, P: int, R: flo
         maps = cache.load_maps(mkey, P, float(R), rel)
         if maps is not None:
             return maps
-    try:
-        img = load_image(abs_path, data)
-    except (OSError, ValueError) as err:
-        raise SuiteError(f"sample {rel}: {err}") from None
+    img = load_image(abs_path, data)
     if normalized:
         img = normalize_image(img)
     maps = extract_maps(img, P, R)
@@ -385,20 +384,23 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
     manifest-relative path). This is the per-image path of ``cldp extract``,
     the only user of ``.hist`` entries; suite runs build every scheme's
     histogram from one set of maps instead. The file is read once; it is
-    hashed only to key a cache.
+    hashed only to key a cache. A bad (scheme, P, R) raises ValueError
+    before the file is read; a bad file raises SuiteError naming rel.
     """
+    check_scheme(scheme, P, R)
     sample = hkey = None
-    if cache is not None:
-        sample = _read_sample(rel, abs_path)
-        if float(R).is_integer():
-            hkey = cache.hist_key(sample[1], P, R, scheme, normalized)
-            hist = cache.load_hist(hkey, scheme, rel)
-            if hist is not None:
-                return hist
-    maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalized)
-    hist = build_histogram(maps, scheme)
-    if hkey is not None:
-        cache.store_hist(hkey, hist)
+    with _sample_errors(rel):
+        if cache is not None:
+            sample = _read_sample(abs_path)
+            if float(R).is_integer():
+                hkey = cache.hist_key(sample[1], P, R, scheme, normalized)
+                hist = cache.load_hist(hkey, scheme, rel)
+                if hist is not None:
+                    return hist
+        maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalized)
+        hist = build_histogram(maps, scheme)
+        if hkey is not None:
+            cache.store_hist(hkey, hist)
     return hist
 
 
@@ -410,8 +412,8 @@ def _split_key(manifest, workers: int):
     """The ordered (content SHA-256, label) list of a manifest's samples, or
     None when a sample cannot be read: its run then reports that sample."""
     try:
-        digests = list(map_ordered(lambda e: _read_sample(*e)[1], _files(manifest), workers))
-    except SuiteError:
+        digests = list(map_ordered(lambda e: _read_sample(e[1])[1], _files(manifest), workers))
+    except OSError:
         return None
     return tuple(zip(digests, (label for _, label in manifest.entries)))
 
@@ -420,9 +422,11 @@ def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache
                  workers: int, normalize: bool, trained=None, split_key=None) -> list:
     """One EvalReport per scheme, in order, for one suite at one geometry.
 
-    Two ordered passes over the worker pool. Train: each file's maps come
-    from the cache, keyed by the file's hash, or from one extraction, and
-    every scheme's histogram is built from them and stacked into one
+    schemes are (text, SchemeExpr) pairs that the caller has checked
+    against (P, R); the text names the scheme in its report. Two ordered
+    passes over the worker pool. Train: each file's maps come from the
+    cache, keyed by the file's hash, or from one extraction, and every
+    scheme's histogram is built from them and stacked into one
     ModelSet per scheme. When trained (a dict) holds model sets under
     split_key they are used instead, and model sets built under a split_key
     are added to it; a failed train pass adds nothing. Test: a worker builds
@@ -431,14 +435,14 @@ def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache
     once. The first failing sample in manifest order raises, and the reports
     do not depend on the worker count.
     """
-    texts = [str(s) for s in schemes]
-    exprs = [check_scheme(s, R) for s in schemes]
+    texts, exprs = zip(*schemes)
 
     def histograms(entry):
         rel, abs_path = entry
-        sample = _read_sample(rel, abs_path) if cache is not None else None
-        maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalize)
-        return [build_histogram(maps, expr) for expr in exprs]
+        with _sample_errors(rel):
+            sample = _read_sample(abs_path) if cache is not None else None
+            maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalize)
+            return [build_histogram(maps, expr) for expr in exprs]
 
     models = trained.get(split_key) if split_key is not None else None
     if models is None:
@@ -466,23 +470,34 @@ def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
     prefixes survive into tables) or a parsed SchemeExpr. workers > 1
     parallelizes feature extraction and classification; results are reduced
     in manifest order, so the report is byte-identical for any worker count.
+    A bad (scheme, P, R) raises ValueError before any file is touched.
     """
+    expr = check_scheme(scheme, P, R)
     cache = FeatureCache(cache_dir) if cache_dir else None
-    return _run_schemes(spec, [scheme], P, R, cache, workers, normalize)[0]
+    return _run_schemes(spec, [(str(scheme), expr)], P, R, cache, workers, normalize)[0]
+
+
+def _check_cells(schemes, geometries) -> None:
+    """check_scheme every (scheme, geometry) pair of a matrix."""
+    for text in schemes:
+        for P, R in geometries:
+            check_scheme(text, P, R)
 
 
 @dataclass(frozen=True)
 class ExperimentMatrix:
-    """schemes x geometries x suites, validated for derivative feasibility."""
+    """schemes x geometries x suites; every (scheme, geometry) pair passes
+    check_scheme."""
 
     schemes: tuple
     geometries: tuple
     suites: tuple
 
     def __post_init__(self):
-        for text in self.schemes:
-            for _, R in self.geometries:
-                check_scheme(text, R)
+        _check_cells(self.schemes, self.geometries)
+
+
+_GEOMETRY = r"\(\s*(\d+)\s*,\s*(\d+(?:\.\d+)?)\s*\)"
 
 
 def load_matrix_config(path) -> ExperimentMatrix:
@@ -495,17 +510,15 @@ def load_matrix_config(path) -> ExperimentMatrix:
     schemes = tuple(s.strip() for s in values["schemes"].split(",") if s.strip())
     if not schemes:
         raise ConfigError(f"{path}: no schemes listed")
-    # A bad scheme fails here, before any suite loads, so it is a config
-    # error even when a dataset is missing too. parse_scheme is memoized:
-    # the matrix's own check and the runs reuse these parses.
-    for s in schemes:
-        parse_scheme(s)
     geom_text = values["geometries"]
-    pairs = re.findall(r"\(\s*(\d+)\s*,\s*(\d+(?:\.\d+)?)\s*\)", geom_text)
-    leftovers = re.sub(r"\(\s*\d+\s*,\s*\d+(?:\.\d+)?\s*\)|[,\s]", "", geom_text)
-    if not pairs or leftovers:
+    pairs = re.findall(_GEOMETRY, geom_text)
+    if not pairs or re.sub(_GEOMETRY + r"|[,\s]", "", geom_text):
         raise ConfigError(f"{path}: cannot parse geometries {geom_text!r}")
     geometries = tuple((int(p), float(r)) for p, r in pairs)
+    # A bad cell fails here, before any suite loads, so it is a config error
+    # even when a dataset is missing too. parse_scheme and make_geometry are
+    # memoized: the matrix's own check and the runs reuse this work.
+    _check_cells(schemes, geometries)
     suite_paths = [s.strip() for s in values["suites"].split(",") if s.strip()]
     if not suite_paths:
         raise ConfigError(f"{path}: no suites listed")
@@ -548,14 +561,16 @@ class MatrixReport:
     def to_csv_text(self) -> str:
         return cells_csv_text(self.cells)
 
-    def _summary_cell(self, scheme: str, P: int, R: float):
+    def _summary_cell(self, scheme: str, P: int, R: float) -> str:
+        """Table text of one (scheme, geometry): the mean accuracy over its
+        suites in percent, FAIL when one failed, - when none ran."""
         rows = [c for c in self.cells if c.scheme == scheme and c.P == P and c.R == R
                 and c.suite in self.suite_names]
         if not rows:
-            return None
+            return "-"
         if any(c.accuracy is None for c in rows):
-            return "FAILED"
-        return sum(c.accuracy for c in rows) / len(rows)
+            return "FAIL"
+        return f"{100.0 * (sum(c.accuracy for c in rows) / len(rows)):.2f}"
 
     def to_table_text(self) -> str:
         """Render scheme rows against geometry columns, with a Delta row after
@@ -563,45 +578,33 @@ class MatrixReport:
         name_width = max(len("scheme"), max((len(s) for s in self.schemes), default=6), len("Delta(acc)"))
         headers = [f"({P},{R:g})" for P, R in self.geometries]
         col = max(8, max((len(h) for h in headers), default=8) + 1)
-        lines = ["scheme".ljust(name_width) + "".join(h.rjust(col) for h in headers)]
+
+        def line(name, values):
+            return name.ljust(name_width) + "".join(v.rjust(col) for v in values)
+
+        lines = [line("scheme", headers)]
 
         def cells_for(scheme):
-            out = []
-            for P, R in self.geometries:
-                v = self._summary_cell(scheme, P, R)
-                if v is None:
-                    out.append("-")
-                elif v == "FAILED":
-                    out.append("FAIL")
-                else:
-                    out.append(f"{100.0 * v:.2f}")
-            return out
+            return [self._summary_cell(scheme, P, R) for P, R in self.geometries]
 
         i = 0
         while i < len(self.schemes):
             scheme = self.schemes[i]
             row = cells_for(scheme)
-            lines.append(scheme.ljust(name_width) + "".join(v.rjust(col) for v in row))
-            paired = (
-                i + 1 < len(self.schemes)
-                and scheme.startswith("CLBP")
-                and self.schemes[i + 1].startswith("CLDP")
-            )
-            if paired:
-                nxt = cells_for(self.schemes[i + 1])
-                lines.append(
-                    self.schemes[i + 1].ljust(name_width) + "".join(v.rjust(col) for v in nxt)
-                )
+            lines.append(line(scheme, row))
+            following = self.schemes[i + 1] if i + 1 < len(self.schemes) else ""
+            if scheme.startswith("CLBP") and following.startswith("CLDP"):
+                nxt = cells_for(following)
+                lines.append(line(following, nxt))
                 deltas = []
                 for a, b in zip(row, nxt):
                     try:
                         deltas.append(f"{float(b) - float(a):+.2f}")
                     except ValueError:
                         deltas.append("-")
-                lines.append("Delta(acc)".ljust(name_width) + "".join(v.rjust(col) for v in deltas))
-                i += 2
-            else:
+                lines.append(line("Delta(acc)", deltas))
                 i += 1
+            i += 1
         return "\n".join(lines) + "\n"
 
 
@@ -624,6 +627,7 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
     cache = FeatureCache(cache_dir) if cache_dir else None
     suite_names = tuple(s.name for s in matrix.suites)
     tc12 = [n for n in suite_names if "TC12" in n.upper()]
+    schemes = [(text, parse_scheme(text)) for text in matrix.schemes]
     split_keys = [_split_key(spec.train, workers) for spec in matrix.suites]
     # grid[g][s][k]: the cell of scheme k at geometry g on suite s.
     grid = []
@@ -635,7 +639,7 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
                 for scheme in matrix.schemes:
                     progress(f"{scheme} ({P},{R:g}) {spec.name}")
             try:
-                reports = _run_schemes(spec, matrix.schemes, P, R, cache, workers, normalize,
+                reports = _run_schemes(spec, schemes, P, R, cache, workers, normalize,
                                        trained, split_key)
                 row.append([MatrixCell(scheme, P, float(R), spec.name, rep.accuracy, rep.ties)
                             for scheme, rep in zip(matrix.schemes, reports)])

@@ -326,19 +326,85 @@ def test_bench_missing_dataset_exits_2(tmp_path, capsys):
 
 
 def test_bench_bad_scheme_exits_1_before_suites_load(tmp_path, capsys):
+    """Every (scheme, geometry) cell is checked before any suite loads, so a
+    bad one is a configuration error even when the dataset is missing."""
     suite_cfg = tmp_path / "away.suite"
     suite_cfg.write_text(
         "name = away\nroot = /missing/place\n"
         "train_manifest = t.txt\ntest_manifest = e.txt\n"
     )
     cfg = tmp_path / "m.matrix"
-    cfg.write_text(
-        "schemes = CLBP_S, S/Q\ngeometries = (8,2)\nsuites = away.suite\n"
-    )
-    assert main(["bench", str(cfg), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert "'Q'" in err
-    assert "mogrify" not in err
+    for schemes, geometries, message in [
+        ("CLBP_S, S/Q", "(8,2)", "'Q'"),
+        ("CLBP_S", "(8,2), (32,3)", "P must be"),
+        ("CLBP_S", "(2,1), (8,2)", "P must be"),
+        ("CLBP_S", "(8,0.5)", "R must be"),
+        ("CLBP_S, CLDP_S/D", "(8,1)", "R >= 2"),
+    ]:
+        cfg.write_text(
+            f"schemes = {schemes}\ngeometries = {geometries}\nsuites = away.suite\n"
+        )
+        assert main(["bench", str(cfg), "--quiet"]) == 1, (schemes, geometries)
+        err = capsys.readouterr().err
+        assert message in err
+        assert "mogrify" not in err
+
+
+def _count_opens(monkeypatch, directory) -> list:
+    """Record every open of a file under directory, as
+    test_each_sample_is_read_once does."""
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if os.path.dirname(os.path.abspath(str(file))) == str(directory):
+            opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return opened
+
+
+# Scheme S has no D component, so these fail on the geometry rule alone.
+_BAD_GEOMETRIES = [["-P", "3"], ["-P", "25"], ["-R", "0.5"], ["-R", "inf"], ["-R", "nan"]]
+
+
+@pytest.mark.parametrize("command", ["extract", "classify"])
+def test_bad_geometry_exits_1_before_any_sample_is_opened(tmp_path, capsys, monkeypatch,
+                                                          command):
+    _synth(tmp_path)
+    img_dir = tmp_path / "suite" / "images"
+    if command == "extract":
+        args = ["extract", str(tmp_path / "suite" / "train.csv"), "--root", str(img_dir)]
+    else:
+        args = ["classify", "--config", str(tmp_path / "suite" / "suite.cfg")]
+    args += ["--scheme", "S"]
+    assert main(args + ["-P", "8", "-R", "2"]) == 0
+    capsys.readouterr()
+    opened = _count_opens(monkeypatch, img_dir)
+    for geometry in _BAD_GEOMETRIES:
+        assert main(args + geometry) == 1, geometry
+        captured = capsys.readouterr()
+        assert "must be" in captured.err and captured.out == ""
+        assert opened == [], geometry
+
+
+@pytest.mark.parametrize("command", ["extract", "classify"])
+def test_sample_too_small_for_radius_exits_2_naming_it(tmp_path, capsys, command):
+    spec = _synth(tmp_path)
+    victim = spec.test.entries[1][0]
+    save_pgm(gray(np.zeros((6, 6))), tmp_path / "suite" / "images" / victim)
+    if command == "extract":
+        args = ["extract", str(tmp_path / "suite" / "test.csv"),
+                "--root", str(tmp_path / "suite" / "images")]
+    else:
+        args = ["classify", "--config", str(tmp_path / "suite" / "suite.cfg")]
+    assert main(args + ["-P", "8", "-R", "2"]) == 0  # a 6x6 image has centers at R=2
+    capsys.readouterr()
+    assert main(args + ["-P", "8", "-R", "3"]) == 2
+    captured = capsys.readouterr()
+    assert f"sample {victim}: image 6x6 has no valid centers at R=3" in captured.err
+    assert captured.out == ""
 
 
 def test_bench_failed_cells_exit_2(tmp_path, capsys):
@@ -391,7 +457,10 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "x.pgm", "--workers", "-3"])
+    assert exc.value.code == 1
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -62,7 +62,8 @@ def test_quarter_turn_offsets_are_exact_rotations(P, R):
 
 def test_make_geometry_rejects_bad_parameters():
     # twice each: make_geometry is memoized, and a bad call must not be
-    for P, R in [(3, 2.0), (8, 0.5), (4.5, 2.0), (8, math.nan)] * 2:
+    for P, R in [(3, 2.0), (25, 2.0), (math.inf, 2.0), (math.nan, 2.0), (8, 0.5), (4.5, 2.0),
+                 (8, math.nan), (8, math.inf)] * 2:
         with pytest.raises(ValueError):
             make_geometry(P, R)
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import shutil
 import threading
@@ -315,6 +316,30 @@ def test_histogram_for_file_missing_file(tmp_path):
                            parse_scheme("S"), 8, 2.0)
 
 
+@pytest.mark.parametrize("P, R", [(3, 2.0), (25, 2.0), (8, 0.5), (8, math.inf), (8, math.nan)])
+def test_bad_geometry_raises_before_any_sample_is_read(tmp_path, monkeypatch, P, R):
+    spec = _tiny_suite(tmp_path)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    rel = spec.train.entries[0][0]
+    cache_dir = tmp_path / "cache"
+    with pytest.raises(ValueError, match="must be"):
+        histogram_for_file(rel, spec.train.abs_path(rel), parse_scheme("S"), P, R,
+                           FeatureCache(cache_dir))
+    with pytest.raises(ValueError, match="must be"):
+        run_suite(spec, "S", P, R, cache_dir=tmp_path / "other")
+    with pytest.raises(ValueError, match="must be"):
+        ExperimentMatrix(schemes=("CLBP_S",), geometries=((8, 2.0), (P, R)), suites=(spec,))
+    assert opened == []
+    assert not list(cache_dir.iterdir()) and not (tmp_path / "other").exists()
+
+
 def test_experiment_matrix_validates_derivative_feasibility(tmp_path):
     spec = _tiny_suite(tmp_path)
     with pytest.raises(ValueError, match="R >= 2"):
@@ -568,6 +593,24 @@ def test_run_matrix_missing_test_image_fails_only_its_suite(tmp_path):
     for old, new in zip(before, after):
         if new.suite == "s1":
             assert new.accuracy is None and victim in new.error
+        elif new.suite == "AVG3":
+            assert new.error == "aggregate over failed cells"
+        else:
+            assert new == old
+
+
+def test_run_matrix_image_too_small_fails_only_its_suite(tmp_path):
+    suites = _shared_train_suites(tmp_path)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=((8, 3.0),), suites=suites)
+    before = run_matrix(matrix).cells
+    victim = suites[1].test.entries[4][0]
+    save_pgm(gray(np.zeros((6, 6))), suites[1].test.abs_path(victim))
+    after = run_matrix(matrix, workers=3).cells
+    assert len(after) == len(before)
+    for old, new in zip(before, after):
+        if new.suite == "s1":
+            assert new.accuracy is None
+            assert new.error == f"sample {victim}: image 6x6 has no valid centers at R=3.0"
         elif new.suite == "AVG3":
             assert new.error == "aggregate over failed cells"
         else:
