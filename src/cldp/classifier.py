@@ -1,8 +1,12 @@
 """Nearest-neighbor classification under the chi-square histogram distance.
 
 The distance is sum((T_n - M_n)^2 / (T_n + M_n)) with 0/0 terms contributing
-zero; the predicted class is the label of the nearest model, ties broken by
-the lowest model index.
+zero, reduced by chi_square with an exactly rounded sum; the predicted class
+is the label of the nearest model, ties broken by the lowest model index.
+
+A query scores every model on its own nonzero bins, a rigorous error bound
+rules out every model that cannot be nearest, and chi_square decides among
+several left: the winner and ties are exactly those of chi_square.
 """
 
 from __future__ import annotations
@@ -22,24 +26,6 @@ def _bins_of(h):
     return np.asarray(h, dtype=np.float64)
 
 
-def _chi_terms(t, m, terms=None, den=None) -> np.ndarray:
-    """The chi-square terms (m - t)**2 / (m + t), broadcast, with 0/0 terms
-    set to zero, computed in place.
-
-    terms and den are optional float64 buffers of the broadcast shape; the
-    terms are written into terms, which is returned. (m - t)**2 and m + t
-    are bitwise (t - m)**2 and t + m, so the argument order does not change
-    a term.
-    """
-    den = np.add(m, t, out=den)
-    terms = np.subtract(m, t, out=terms)
-    np.square(terms, out=terms)
-    mask = den != 0.0
-    np.divide(terms, den, out=terms, where=mask)
-    np.copyto(terms, 0.0, where=np.logical_not(mask, out=mask))
-    return terms
-
-
 def chi_square(t, m) -> float:
     """Chi-square distance between two histograms of equal length.
 
@@ -52,24 +38,34 @@ def chi_square(t, m) -> float:
     if isinstance(t, FeatureHistogram) and isinstance(m, FeatureHistogram):
         if t.scheme != m.scheme or t.P != m.P:
             raise ValueError(f"histogram schemes differ: {t.scheme}@{t.P} vs {m.scheme}@{m.P}")
-    ta = _bins_of(t)
-    ma = _bins_of(m)
+    ta, ma = _bins_of(t), _bins_of(m)
     if ta.shape != ma.shape:
         raise ValueError(f"histogram lengths differ: {ta.shape} vs {ma.shape}")
-    return math.fsum(_chi_terms(ta, ma).tolist())
+    den = ma + ta
+    terms = np.square(ma - ta)
+    np.divide(terms, den, out=terms, where=den != 0.0)
+    terms[den == 0.0] = 0.0
+    return math.fsum(terms.tolist())
 
 
-def _check_finite(bins: np.ndarray, what: str) -> None:
+def _check_bins(bins: np.ndarray, what: str) -> None:
+    # A nan or inf bin would hide the nearest model; the error bound of the
+    # model search needs every bin >= 0, and below 2^500 nothing overflows.
     if not np.isfinite(bins).all():
         raise ValueError(f"{what} histogram has non-finite bins")
+    if (bins < 0.0).any():
+        raise ValueError(f"{what} histogram has negative bins")
+    if (bins >= 2.0**500).any():
+        raise ValueError(f"{what} histogram has bins of 2^500 or more")
 
 
 class ModelSet:
-    """Training histograms stacked for fast nearest-neighbor queries.
+    """Training histograms, kept for exact nearest-neighbor queries.
 
     Models keep the order they are given in; an exact distance tie goes to
-    the model that comes first. Every bin must be finite: a nan or inf
-    distance would hide the nearest model.
+    the model that comes first. Every bin must be finite, in [0, 2^500).
+    Only the bins that some model uses are kept, bin-major and built row by
+    row: values[j, k] is bin columns[j] of model k; mass[k] sums model k.
     """
 
     def __init__(self, histograms, labels):
@@ -80,77 +76,92 @@ class ModelSet:
         if len(histograms) != len(labels):
             raise ValueError("histogram and label counts differ")
         first = histograms[0]
-        for h in histograms[1:]:
+        self.dim = _bins_of(first).size
+        used = np.zeros(self.dim, dtype=bool)
+        for k, h in enumerate(histograms):
             if isinstance(h, FeatureHistogram) and isinstance(first, FeatureHistogram):
                 if h.scheme != first.scheme or h.P != first.P:
                     raise ValueError("all models must share one scheme and P")
-        rows = [_bins_of(h) for h in histograms]
-        for k, row in enumerate(rows):
-            _check_finite(row, f"model {k}")
-        self.matrix = np.stack(rows)
+            row = _bins_of(h)
+            if row.shape != (self.dim,):
+                raise ValueError(f"model {k} histogram length {row.size} is not {self.dim}")
+            _check_bins(row, f"model {k}")
+            used |= row > 0.0
+        self.columns = np.flatnonzero(used)
+        self.values = np.empty((self.columns.size, len(histograms)))
+        for k, h in enumerate(histograms):
+            self.values[:, k] = _bins_of(h)[self.columns]
+        self.mass = self.values.sum(axis=0)
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.scheme = first.scheme if isinstance(first, FeatureHistogram) else None
-        self.P = first.P if isinstance(first, FeatureHistogram) else None
-        self.R = first.R if isinstance(first, FeatureHistogram) else None
+        meta = first if isinstance(first, FeatureHistogram) else None
+        self.scheme, self.P, self.R = (meta.scheme, meta.P, meta.R) if meta else (None,) * 3
 
     def __len__(self):
-        return self.matrix.shape[0]
+        return self.labels.size
+
+    def row(self, k: int) -> np.ndarray:
+        """The bins of model k."""
+        bins = np.zeros(self.dim)
+        bins[self.columns] = self.values[:, k]
+        return bins
 
 
-# Elements per chi-square temporary in the model scan. Scanning the models
-# in blocks of rows keeps a query's temporaries at this size (one row per
-# block when a row is longer). Terms for every model at once take
-# 2 x models x dim x 8 bytes, about 270 MB at P=24 with 480 models, per
-# worker thread; glibc hands memory that large back to the OS when it is
-# freed, so every query also paid to fault it in again.
-_BLOCK_ELEMENTS = 1 << 16
+# Elements per gathered block of models: a query's temporaries do not grow with them.
+_GATHER_ELEMENTS = 1 << 16
 
 
-def _distances_to_models(bins: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Chi-square distance from bins to every row of matrix.
-
-    A block's terms come out in C-contiguous rows, one per model, so
-    sum(axis=1) reduces each model's terms in bin order, whatever the block
-    size: the distances are bitwise those of one unblocked scan.
-    """
-    n, dim = matrix.shape
-    rows = min(n, max(1, _BLOCK_ELEMENTS // dim))
-    terms = np.empty((rows, dim), dtype=np.float64)
-    den = np.empty((rows, dim), dtype=np.float64)
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, rows):
-        k = min(rows, n - start)
-        _chi_terms(bins, matrix[start : start + k], terms[:k], den[:k]).sum(
-            axis=1, out=out[start : start + k])
-    return out
-
-
-def _nearest(t, models: ModelSet):
-    """Index of the nearest model, the indices of every model at the minimum
-    distance, and the distances to all models.
-
-    Exact distance ties go to the model with the lowest index. A query with
-    a non-finite bin raises ValueError.
-    """
+def _nearest(t, models: ModelSet) -> list:
+    """The indices of every model at the minimum chi_square distance, in
+    order; the first is the nearest. A bad bin raises ValueError."""
     bins = _bins_of(t)
-    if bins.shape != models.matrix.shape[1:]:
-        raise ValueError(
-            f"test histogram length {bins.size} does not match models "
-            f"({models.matrix.shape[1]})"
-        )
-    _check_finite(bins, "test")
-    d = _distances_to_models(bins, models.matrix)
-    winner = int(np.argmin(d))
-    return winner, np.flatnonzero(d == d[winner]), d
+    if bins.shape != (models.dim,):
+        raise ValueError(f"test histogram length {bins.size} does not match models ({models.dim})")
+    _check_bins(bins, "test")
+    # For bins t, m >= 0 each term (t - m)^2/(t + m) is t + m - 4tm/(t + m),
+    # so D = T + M - 4S: T and M are the bin sums and S sums tm/(t + m) over
+    # the bins where t > 0. Let u = 2^-53, gamma_n = nu/(1 - nu), n = dim.
+    # A float sum of at most n terms >= 0 is within gamma_{n-1} of its value
+    # in any order, and k roundings in a product or quotient within gamma_k
+    # (Higham, Accuracy and Stability of Numerical Algorithms, sections 3-4).
+    # So fl(T + M) is within gamma_{n+1}, and the computed S within
+    # gamma_{n+2}, of their values; with 4S <= T + M (as D >= 0) the score
+    # fl(fl(T + M) - 4S) is within 3 gamma_{n+2} (T + M) of D. chi_square is
+    # within gamma_6 D <= gamma_6 (T + M) of D: 5 roundings per term (the
+    # difference's twice, as it is squared) and one in fsum. So
+    # |chi_square - score| <= 4 gamma_{n+3} fl(T + M); slack is twice that,
+    # for the bound's own rounding, plus 2^-1070 per bin for underflow. A
+    # model whose score - slack exceeds some score + slack is neither nearest
+    # nor tied, and one model left is the only nearest.
+    t_kept = bins[models.columns]  # the other bins are 0 in every model
+    column = np.flatnonzero(t_kept)
+    t_in = t_kept[column]
+    rows = max(1, _GATHER_ELEMENTS // len(models))
+    s = np.zeros(len(models))
+    for start in range(0, column.size, rows):
+        block = models.values[column[start : start + rows]]
+        t_block = t_in[start : start + rows, None]
+        den = block + t_block
+        block *= t_block
+        block /= den
+        s += block.sum(axis=0)
+    total = models.mass + bins.sum()
+    score = total - 4.0 * s
+    nu = (models.dim + 3) * 2.0**-53
+    slack = 8.0 * nu / (1.0 - nu) * total + models.dim * 2.0**-1070
+    near = np.flatnonzero(score - slack <= (score + slack).min()).tolist()
+    if len(near) == 1:
+        return near
+    d = [chi_square(bins, models.row(k)) for k in near]
+    best = min(d)
+    return [k for k, dk in zip(near, d) if dk == best]
 
 
 def classify(t, models: ModelSet):
-    """Return (label, model index, distance) of the nearest model.
-
-    Exact distance ties go to the model with the lowest index.
+    """Return (label, model index, distance) of the nearest model; the
+    distance is chi_square's. Exact distance ties go to the lowest index.
     """
-    winner, _, d = _nearest(t, models)
-    return int(models.labels[winner]), winner, float(d[winner])
+    winner = _nearest(t, models)[0]
+    return int(models.labels[winner]), winner, chi_square(t, models.row(winner))
 
 
 @dataclass(frozen=True)
@@ -198,9 +209,7 @@ class EvalReport:
         ]
         totals = self.confusion.sum(axis=1)
         for i, label in enumerate(self.labels):
-            lines.append(
-                f"{label:>5}  {int(totals[i]):>7}  {100.0 * self.per_class[i]:>7.2f}%"
-            )
+            lines.append(f"{label:>5}  {int(totals[i]):>7}  {100.0 * self.per_class[i]:>7.2f}%")
         return "\n".join(lines) + "\n"
 
 
@@ -211,9 +220,9 @@ def predict(t, models: ModelSet) -> tuple:
     distance; the label is then that of the tied model with the lowest
     index.
     """
-    winner, candidates, _ = _nearest(t, models)
-    tied = len(set(models.labels[candidates].tolist())) > 1
-    return int(models.labels[winner]), tied
+    nearest = _nearest(t, models)
+    tied = len(set(models.labels[nearest].tolist())) > 1
+    return int(models.labels[nearest[0]]), tied
 
 
 def summarize(truth, outcomes, models: ModelSet, suite: str = "",
@@ -232,31 +241,22 @@ def summarize(truth, outcomes, models: ModelSet, suite: str = "",
     labels = sorted(set(models.labels.tolist()) | set(truth))
     index_of = {lab: i for i, lab in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    correct = 0
-    ties = 0
+    correct = ties = 0
     for true_label, (predicted, tied) in zip(truth, outcomes):
         ties += bool(tied)
         confusion[index_of[true_label], index_of[predicted]] += 1
         correct += predicted == true_label
     totals = confusion.sum(axis=1)
-    per_class = tuple(
-        float(confusion[i, i]) / totals[i] if totals[i] else 0.0
-        for i in range(len(labels))
-    )
+    per_class = tuple(float(confusion[i, i]) / totals[i] if totals[i] else 0.0
+                      for i in range(len(labels)))
     confusion.flags.writeable = False
     if scheme is None:
         scheme = str(models.scheme) if models.scheme is not None else ""
-    return EvalReport(
-        suite=suite,
-        scheme=scheme,
-        P=int(models.P) if models.P is not None else 0,
-        R=float(models.R) if models.R is not None else 0.0,
-        accuracy=correct / len(truth),
-        labels=tuple(labels),
-        per_class=per_class,
-        confusion=confusion,
-        ties=ties,
-    )
+    return EvalReport(suite=suite, scheme=scheme,
+                      P=int(models.P) if models.P is not None else 0,
+                      R=float(models.R) if models.R is not None else 0.0,
+                      accuracy=correct / len(truth), labels=tuple(labels),
+                      per_class=per_class, confusion=confusion, ties=ties)
 
 
 def evaluate(tests, models: ModelSet, suite: str = "",

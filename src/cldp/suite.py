@@ -357,8 +357,9 @@ def _maps_for_file(rel: str, abs_path: str, sample: tuple | None, P: int, R: flo
                    cache: FeatureCache | None, normalized: bool) -> PatternMaps:
     """Pattern maps of one image: the cached entry when there is one, else
     one extraction, stored in the cache when one is given. sample is the
-    file's (bytes, digest) from _read_sample when a cache is given, and None
-    otherwise; the file is then read here."""
+    file's (bytes, digest) from _read_sample, or (None, digest) when the
+    digest is known, when a cache is given, and None otherwise; the file is
+    read here when its bytes are needed and not given."""
     mkey = data = None
     if cache is not None:
         data, file_hash = sample
@@ -404,8 +405,10 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
     return hist
 
 
-def _files(manifest) -> list:
-    return [(rel, manifest.abs_path(rel)) for rel, _ in manifest.entries]
+def _files(manifest, digests=None) -> list:
+    """(rel, absolute path, content SHA-256 or None) of each sample."""
+    digests = digests or [None] * len(manifest.entries)
+    return [(rel, manifest.abs_path(rel), d) for (rel, _), d in zip(manifest.entries, digests)]
 
 
 def _split_key(manifest, workers: int):
@@ -426,8 +429,9 @@ def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache
     against (P, R); the text names the scheme in its report. Two ordered
     passes over the worker pool. Train: each file's maps come from the
     cache, keyed by the file's hash, or from one extraction, and every
-    scheme's histogram is built from them and stacked into one
-    ModelSet per scheme. When trained (a dict) holds model sets under
+    scheme's histogram is built from them into one ModelSet per scheme;
+    split_key's digests key the cache, so the train files are not hashed
+    again. When trained (a dict) holds model sets under
     split_key they are used instead, and model sets built under a split_key
     are added to it; a failed train pass adds nothing. Test: a worker builds
     a file's histograms and classifies each at once, returning only
@@ -438,15 +442,18 @@ def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache
     texts, exprs = zip(*schemes)
 
     def histograms(entry):
-        rel, abs_path = entry
+        rel, abs_path, digest = entry
         with _sample_errors(rel):
-            sample = _read_sample(abs_path) if cache is not None else None
+            sample = None
+            if cache is not None:
+                sample = (None, digest) if digest else _read_sample(abs_path)
             maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalize)
             return [build_histogram(maps, expr) for expr in exprs]
 
     models = trained.get(split_key) if split_key is not None else None
     if models is None:
-        train = list(map_ordered(histograms, _files(spec.train), workers))
+        digests = [d for d, _ in split_key] if split_key else None
+        train = list(map_ordered(histograms, _files(spec.train, digests), workers))
         train_labels = [label for _, label in spec.train.entries]
         models = [ModelSet([h[k] for h in train], train_labels) for k in range(len(exprs))]
         del train  # the model sets hold their own copies

@@ -202,9 +202,14 @@ def naive_histogram(pixels: np.ndarray, P: int, R: float, scheme_text: str) -> n
 
 
 def naive_model_distances(bins: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Chi-square distance from one histogram to every model row, written
-    with a fresh array per step: num, den and the zero-filled terms."""
-    num = (matrix - bins) ** 2
-    den = matrix + bins
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-    return terms.sum(axis=1)
+    """Chi-square distance from one histogram to every model row, one model
+    and one bin at a time: each term (m - t)^2 / (m + t), terms with a zero
+    denominator left out, summed exactly rounded with math.fsum."""
+    out = []
+    for row in matrix:
+        terms = []
+        for t, m in zip(bins.tolist(), row.tolist()):
+            if m + t != 0.0:
+                terms.append((m - t) * (m - t) / (m + t))
+        out.append(math.fsum(terms))
+    return np.array(out)

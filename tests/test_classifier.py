@@ -14,7 +14,7 @@ from cldp import (
     extract_maps,
     parse_scheme,
 )
-from cldp.classifier import _BLOCK_ELEMENTS, _distances_to_models, predict
+from cldp.classifier import _GATHER_ELEMENTS, _nearest, predict
 from conftest import gray, traced_peak
 from naive import naive_model_distances
 
@@ -96,14 +96,14 @@ def test_classify_argmin_survives_rescaling():
 
 
 def test_classify_memory_does_not_grow_with_models():
-    """The scan's temporaries are a block of rows, not models x dim."""
+    """The search's temporaries are blocks of the gather, not models x dim."""
     rng = np.random.default_rng(97)
     dim = 1000
     query = rng.uniform(0.0, 1.0, size=dim)
     for n in (800, 2400):  # 12 and 37 blocks' worth of elements
         models = ModelSet(rng.uniform(0.0, 1.0, size=(n, dim)), range(n))
         classify(query, models)
-        assert traced_peak(lambda: classify(query, models)) <= 4 * 8 * _BLOCK_ELEMENTS
+        assert traced_peak(lambda: classify(query, models)) <= 4 * 8 * 2**16
 
 
 def test_classify_validates_length():
@@ -145,6 +145,19 @@ def test_evaluate_validates_length():
         evaluate([([0.5, 0.5, 0.0], 0), ([0.5, 0.5], 1)], models)
 
 
+def _check_search(query, models, matrix):
+    """_nearest's tie set and classify's result equal those of the oracle
+    over every row of matrix, the distance bit for bit; returns the ties."""
+    d = naive_model_distances(np.asarray(getattr(query, "bins", query), dtype=np.float64),
+                              np.asarray(matrix, dtype=np.float64))
+    ties = np.flatnonzero(d == d.min()).tolist()
+    assert _nearest(query, models) == ties
+    label, winner, distance = classify(query, models)
+    assert (label, winner) == (models.labels[ties[0]], ties[0])
+    assert distance.hex() == float(d.min()).hex()
+    return ties
+
+
 def test_distance_kernel_matches_oracle_bitwise():
     rng = np.random.default_rng(62)
 
@@ -161,20 +174,130 @@ def test_distance_kernel_matches_oracle_bitwise():
     padded = np.concatenate([models, np.zeros((40, 300))], axis=1)
     cases = [(q, models) for q in queries]
     cases += [(np.concatenate([q, np.zeros(300)]), padded) for q in queries]
-    # t = -m on row 0: every nonzero bin of that row has den == 0 and a
-    # nonzero numerator, and the term must still be 0.
-    cases.append((-models[0], models))
-    # The scan works in blocks of _BLOCK_ELEMENTS // dim rows: 35 models end
-    # on a partial block, and a row longer than a block is a block alone.
-    rows = _BLOCK_ELEMENTS // models.shape[1]
-    assert rows > 1 and 35 % rows != 0
-    cases += [(q, models[:35]) for q in queries[:2]]
-    wide = sparse(3, _BLOCK_ELEMENTS + 1000, 2000)
-    cases += [(q, wide) for q in sparse(2, _BLOCK_ELEMENTS + 1000, 2000)]
+    cases += [(m, models) for m in models[:3]]  # exact matches, distance 0
+    # The gather takes _GATHER_ELEMENTS // models rows of the query's
+    # support at a time: a full query spans blocks and ends on a partial one.
+    rows = _GATHER_ELEMENTS // len(models)
+    assert rows < 2000 and 2000 % rows != 0
+    cases += [(q, models) for q in sparse(2, 2000, 2000)]
+    wide = sparse(3, (1 << 16) + 1000, 2000)
+    cases += [(q, wide) for q in sparse(2, (1 << 16) + 1000, 2000)]
     for bins, matrix in cases:
-        got = _distances_to_models(bins, matrix)
-        assert got.tobytes() == naive_model_distances(bins, matrix).tobytes()
-    assert _distances_to_models(-models[0], models)[0] == 0.0
+        oracle = naive_model_distances(bins, matrix)
+        assert np.array([chi_square(bins, row) for row in matrix]).tobytes() == oracle.tobytes()
+        _check_search(bins, ModelSet(matrix, range(len(matrix))), matrix)
+
+
+@pytest.mark.parametrize("P, R", [(8, 3.0), (24, 3.0)])
+def test_classify_distance_is_chi_square_bitwise(P, R):
+    rng = np.random.default_rng(98)
+    scheme = parse_scheme("S/M/D/C")
+    hists = [build_histogram(extract_maps(_synthetic_class_image(rng, k % 3), P, R), scheme)
+             for k in range(18)]
+    train, queries = hists[:12], hists[12:] + hists[:2]
+    models = ModelSet(train, [k % 3 for k in range(12)])
+    matrix = np.array([h.bins for h in train])
+    for q in queries:
+        _check_search(q, models, matrix)
+        assert classify(q, models)[2].hex() == min(chi_square(q, m) for m in train).hex()
+
+
+def _check_adversarial(query, rows, labels, ties, tied):
+    """_nearest, classify and predict against brute-force chi_square, and
+    the tie set and tied flag the case was built to produce."""
+    models = ModelSet(rows, labels)
+    assert _check_search(query, models, rows) == ties
+    assert predict(query, models) == (labels[ties[0]], tied)
+
+
+def test_classify_resolves_a_one_ulp_difference():
+    rng = np.random.default_rng(99)
+    base = rng.uniform(0.0, 1.0, 64)
+    base /= base.sum()
+    query = base.copy()
+    query[5] *= 1.0 + 1e-9
+    nudged = base.copy()
+    nudged[5] = np.nextafter(base[5], 1.0)  # one ulp towards the query
+    near, far = chi_square(query, nudged), chi_square(query, base)
+    # Both far below any float bound on a distance near 1: only the exact
+    # re-score can order them, and they differ.
+    assert 0.0 < near < far < 1e-15
+    _check_adversarial(query, [base, nudged], [0, 1], [1], False)
+    _check_adversarial(base, [nudged, base], [0, 1], [1], False)
+
+
+def test_classify_ties_models_whose_terms_are_permuted():
+    # With a flat query, a permuted model's terms are the same terms in
+    # another order: fsum ties them exactly, where an ordered sum may not.
+    # Over 4096 bins the fast scores of these ties spread over about 15 ulps.
+    rng = np.random.default_rng(100)
+    query = np.full(4096, 1.0 / 4096)
+    first = rng.uniform(0.0, 1.0, 4096) ** 8
+    first /= first.sum()
+    permuted = [first, first[::-1].copy()] + [first[rng.permutation(4096)] for _ in range(10)]
+
+    def ordered(m):
+        return sum(((m - query) ** 2 / (m + query)).tolist())
+
+    assert len({ordered(m) for m in permuted}) > 1
+    far = np.zeros(4096)
+    far[0] = 5.0  # about 6 away; the permuted models are at most T + M = 2 away
+    _check_adversarial(query, [far] + permuted, list(range(13)), list(range(1, 13)), True)
+
+
+def test_classify_ties_duplicate_models_with_different_labels():
+    rng = np.random.default_rng(101)
+    a, b = rng.uniform(0.0, 1.0, (2, 20))
+    query = a * rng.uniform(0.99, 1.01, 20)
+    _check_adversarial(query, [b, a, b, a], [0, 1, 2, 1], [1, 3], False)
+    _check_adversarial(query, [b, a, b, a], [0, 1, 2, 3], [1, 3], True)
+
+
+def test_classify_query_with_bins_no_model_uses():
+    rng = np.random.default_rng(102)
+    rows = np.zeros((4, 30))
+    rows[:, :12] = rng.uniform(0.0, 1.0, (4, 12))
+    query = np.zeros(30)
+    query[8:20] = rng.uniform(0.0, 1.0, 12)
+    order = np.argsort([chi_square(query, m) for m in rows])
+    _check_adversarial(query, rows, [5, 6, 7, 8], [int(order[0])], False)
+    # Only bins that no model uses: every model is at T + M.
+    query[:12] = 0.0
+    ties = [k for k in range(4) if chi_square(query, rows[k]) == min(
+        chi_square(query, m) for m in rows)]
+    _check_adversarial(query, rows, [5, 6, 7, 8], ties, len(ties) > 1)
+
+
+def test_classify_rejects_negative_bins():
+    models = ModelSet([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    for bad in ([-0.5, 1.0], [0.0, -1e-300], [-1.0, 0.0]):
+        with pytest.raises(ValueError, match="test histogram has negative bins"):
+            classify(bad, models)
+        with pytest.raises(ValueError, match="test histogram has negative bins"):
+            predict(bad, models)
+        with pytest.raises(ValueError, match="test histogram has negative bins"):
+            evaluate([(bad, 1)], models)
+    assert classify([-0.0, 1.0], models) == (1, 1, 0.0)  # -0.0 is not negative
+
+
+def test_bins_of_2_pow_500_or_more_are_rejected():
+    # Below 2^500 no product or sum of the model search overflows.
+    models = ModelSet([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    with pytest.raises(ValueError, match=r"test histogram has bins of 2\^500 or more"):
+        classify([2.0**500, 1.0], models)
+    with pytest.raises(ValueError, match=r"model 1 histogram has bins of 2\^500 or more"):
+        ModelSet([[0.0, 1.0], [1e300, 0.0]], [0, 1])
+    big = np.nextafter(2.0**500, 0.0)
+    huge = ModelSet([[0.0, big], [big, big], [big, 0.0]], [0, 1, 2])
+    assert classify([big, 1.0], huge) == (2, 2, chi_square([big, 1.0], [big, 0.0]))
+
+
+def test_model_set_rejects_negative_bins():
+    for bad in ([-0.5, 1.0], [0.0, -1e-300]):
+        with pytest.raises(ValueError, match="model 0 histogram has negative bins"):
+            ModelSet([bad, [0.0, 1.0]], [0, 1])
+        with pytest.raises(ValueError, match="model 1 histogram has negative bins"):
+            ModelSet([[0.0, 1.0], bad], [0, 1])
 
 
 def test_model_set_validation():

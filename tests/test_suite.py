@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import os
@@ -632,6 +633,53 @@ def test_run_matrix_cold_cache_holds_one_maps_entry_per_input(tmp_path):
     assert len(contents) == 18 + 3 * 18
     assert not list(cache_dir.rglob("*.hist"))
     assert len(list(cache_dir.rglob("*.maps"))) == len(contents) * len(_FUSED_GEOMETRIES)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_matrix_hashes_each_training_sample_once(tmp_path, monkeypatch, workers):
+    """A run hashes each training file once, to find the shared training
+    splits, and reads it again only to decode it on a cache miss; a test
+    file is read and hashed once per geometry, and only with a cache."""
+    suites = _shared_train_suites(tmp_path)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES,
+                              suites=suites)
+    kind = {}
+    for spec in suites:
+        for split, manifest in (("train", spec.train), ("test", spec.test)):
+            for rel, _ in manifest.entries:
+                path = manifest.abs_path(rel)
+                with open(path, "rb") as fh:
+                    kind[path] = kind[fh.read()] = split
+    counts = collections.Counter()
+    real_open, real_sha256 = open, hashlib.sha256
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) in kind:
+            counts["open", kind[str(file)]] += 1
+        return real_open(file, *args, **kwargs)
+
+    def counting_sha256(data=b"", **kwargs):
+        if isinstance(data, bytes) and data in kind:
+            counts["sha256", kind[data]] += 1
+        return real_sha256(data, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    per_suite, geometries = 18, len(_FUSED_GEOMETRIES)
+    train, test = 3 * per_suite, geometries * 3 * per_suite
+    decoded = geometries * per_suite  # one shared split, decoded per geometry
+    cache_dir = tmp_path / "cache"
+    for run_cache, want in (
+        (None, {("sha256", "train"): train, ("open", "train"): train + decoded,
+                ("open", "test"): test}),
+        (cache_dir, {("sha256", "train"): train, ("open", "train"): train + decoded,
+                     ("sha256", "test"): test, ("open", "test"): test}),
+        (cache_dir, {("sha256", "train"): train, ("open", "train"): train,
+                     ("sha256", "test"): test, ("open", "test"): test}),
+    ):
+        assert not run_matrix(matrix, cache_dir=run_cache, workers=workers).failed
+        assert counts == want
+        counts.clear()
 
 
 def test_map_ordered_keeps_a_bounded_window():
