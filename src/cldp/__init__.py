@@ -13,6 +13,7 @@ from .classifier import EvalReport, ModelSet, chi_square, classify, evaluate
 from .histogram import (
     FeatureHistogram,
     SchemeError,
+    SparseHistogram,
     build_histogram,
     component_bins,
     format_histogram_csv_row,
@@ -39,6 +40,7 @@ from .patterns import (
     code_space_stats,
     export_map_pgm,
     extract_maps,
+    extract_radii,
 )
 from .sampler import make_geometry, valid_region
 from .suite import (
@@ -76,6 +78,7 @@ __all__ = [
     "PatternMaps",
     "Riu2Mapper",
     "SchemeError",
+    "SparseHistogram",
     "SuiteError",
     "SuiteSpec",
     "atomic_write_bytes",
@@ -89,6 +92,7 @@ __all__ = [
     "evaluate",
     "export_map_pgm",
     "extract_maps",
+    "extract_radii",
     "format_histogram_csv_row",
     "histogram_for_file",
     "histogram_from_bytes",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histogram import FeatureHistogram
+from .histogram import FeatureHistogram, SparseHistogram
 
 
 def _bins_of(h):
@@ -59,13 +59,30 @@ def _check_bins(bins: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} histogram has bins of 2^500 or more")
 
 
+def _nonzero_bins(h, dim: int, what: str) -> tuple:
+    """(indices, values) of the nonzero bins of a histogram of length dim,
+    checked; a SparseHistogram is taken as it is."""
+    if isinstance(h, SparseHistogram):
+        shape, indices, values = (h.size,), h.indices, h.values
+    else:
+        bins = _bins_of(h)
+        shape, indices = bins.shape, np.flatnonzero(bins)
+        values = bins.ravel()[indices]
+    if shape != (dim,):
+        raise ValueError(f"{what} histogram length {math.prod(shape)} is not {dim}")
+    _check_bins(values, what)
+    return indices, values
+
+
 class ModelSet:
     """Training histograms, kept for exact nearest-neighbor queries.
 
     Models keep the order they are given in; an exact distance tie goes to
     the model that comes first. Every bin must be finite, in [0, 2^500).
-    Only the bins that some model uses are kept, bin-major and built row by
-    row: values[j, k] is bin columns[j] of model k; mass[k] sums model k.
+    A model is a FeatureHistogram, a SparseHistogram or an array. Only the
+    bins that some model uses are kept, bin-major and built row by row from
+    each model's nonzero bins: values[j, k] is bin columns[j] of model k;
+    mass[k] sums model k.
     """
 
     def __init__(self, histograms, labels):
@@ -76,24 +93,22 @@ class ModelSet:
         if len(histograms) != len(labels):
             raise ValueError("histogram and label counts differ")
         first = histograms[0]
-        self.dim = _bins_of(first).size
+        meta = first if isinstance(first, (FeatureHistogram, SparseHistogram)) else None
+        self.dim = first.size if isinstance(first, SparseHistogram) else _bins_of(first).size
+        rows = []
         used = np.zeros(self.dim, dtype=bool)
         for k, h in enumerate(histograms):
-            if isinstance(h, FeatureHistogram) and isinstance(first, FeatureHistogram):
-                if h.scheme != first.scheme or h.P != first.P:
+            if meta is not None and isinstance(h, (FeatureHistogram, SparseHistogram)):
+                if h.scheme != meta.scheme or h.P != meta.P:
                     raise ValueError("all models must share one scheme and P")
-            row = _bins_of(h)
-            if row.shape != (self.dim,):
-                raise ValueError(f"model {k} histogram length {row.size} is not {self.dim}")
-            _check_bins(row, f"model {k}")
-            used |= row > 0.0
+            rows.append(_nonzero_bins(h, self.dim, f"model {k}"))
+            used[rows[-1][0]] = True
         self.columns = np.flatnonzero(used)
-        self.values = np.empty((self.columns.size, len(histograms)))
-        for k, h in enumerate(histograms):
-            self.values[:, k] = _bins_of(h)[self.columns]
+        self.values = np.zeros((self.columns.size, len(histograms)))
+        for k, (indices, values) in enumerate(rows):
+            self.values[np.searchsorted(self.columns, indices), k] = values
         self.mass = self.values.sum(axis=0)
         self.labels = np.asarray(labels, dtype=np.int64)
-        meta = first if isinstance(first, FeatureHistogram) else None
         self.scheme, self.P, self.R = (meta.scheme, meta.P, meta.R) if meta else (None,) * 3
 
     def __len__(self):

@@ -182,32 +182,57 @@ class FeatureHistogram:
             start += d
         return out
 
+    def sparse(self) -> "SparseHistogram":
+        """The nonzero bins of this histogram."""
+        indices = np.flatnonzero(self.bins).astype(np.min_scalar_type(self.bins.size))
+        return SparseHistogram(scheme=self.scheme, P=self.P, R=self.R, size=self.bins.size,
+                               indices=indices, values=self.bins[indices])
 
-def build_histogram(maps: PatternMaps, scheme: SchemeExpr,
-                    normalize: bool = True) -> FeatureHistogram:
+
+@dataclass(frozen=True, slots=True)
+class SparseHistogram:
+    """A FeatureHistogram of length size kept as its nonzero bins: bin
+    indices[j] is values[j], in increasing index order, and every other bin
+    is 0."""
+
+    scheme: SchemeExpr
+    P: int
+    R: float
+    size: int
+    indices: np.ndarray
+    values: np.ndarray
+
+
+def build_histogram(maps: PatternMaps, scheme: SchemeExpr, normalize: bool = True,
+                    counted: dict | None = None) -> FeatureHistogram:
     """Accumulate the scheme's histogram from pattern maps.
 
     Every valid pixel contributes exactly one count to each group; requesting
-    D from maps extracted without the derivative is an error.
+    D from maps extracted without the derivative is an error. counted, when
+    given, holds the bins of each group already counted on these maps with
+    this normalize, and gains the groups counted here: schemes that share a
+    group count it once, with the same bits, as its bins are the same
+    integer counts over the same total.
     """
     P = maps.P
-    dims = tuple(group_dimension(g, P) for g in scheme.groups)
-    parts = []
+    counted = {} if counted is None else counted
     for group in scheme.groups:
-        first, *rest = group
-        idx = maps.component(first)
-        if rest:
-            idx = idx.astype(np.intp)
-            for comp in rest:
-                idx *= component_bins(comp, P)
-                idx += maps.component(comp)
-        counts = np.bincount(idx.ravel(), minlength=group_dimension(group, P))
-        counts = counts.astype(np.float64)
-        if normalize:
-            counts /= counts.sum()
-        parts.append(counts)
-    bins = np.concatenate(parts)
+        if group not in counted:
+            first, *rest = group
+            idx = maps.component(first)
+            if rest:
+                idx = idx.astype(np.intp)
+                for comp in rest:
+                    idx *= component_bins(comp, P)
+                    idx += maps.component(comp)
+            counts = np.bincount(idx.ravel(), minlength=group_dimension(group, P))
+            counts = counts.astype(np.float64)
+            if normalize:
+                counts /= counts.sum()
+            counted[group] = counts
+    bins = np.concatenate([counted[group] for group in scheme.groups])
     bins.flags.writeable = False
+    dims = tuple(group_dimension(g, P) for g in scheme.groups)
     return FeatureHistogram(scheme=scheme, P=P, R=maps.R, bins=bins, dims=dims)
 
 

@@ -235,50 +235,81 @@ def _inner_sign_codes(canon: np.ndarray, geom: SamplingGeometry, margin: int) ->
     return codes
 
 
-def extract_maps(img: GrayImage, P: int, R: float,
-                 mapper: Riu2Mapper | None = None) -> PatternMaps:
-    """Extract sign/magnitude/derivative/center maps for the whole image.
-
-    Thresholds come first: c_m is the mean |d| over every valid center and
-    direction at the outer radius, c_I the mean canonical intensity over the
-    whole image. The derivative compares sign bits at radii R and R-1; it is
-    extracted exactly when has_derivative(R), and is None otherwise. mapper
-    defaults to one Riu2Mapper per P, shared by every call.
-
-    Per image, float64 memory is one P x Hv x Wv stack, the outer circle's
-    differences, plus O(Hv x Wv): the inner circle is sampled one offset at
-    a time after the stack is freed.
-    """
-    geom = make_geometry(P, R)
-    x0, y0, x1, y1 = valid_region(img, R)
-
-    canon, lo, hi = canonical_intensity(img.pixels)
+def _maps_at(canon: np.ndarray, geom: SamplingGeometry, inner_signs, mapper: Riu2Mapper,
+             c_I: float, **fields) -> tuple:
+    """(PatternMaps at geom, the outer sign codes). inner_signs are the sign
+    codes of circle R-1 over geom's valid region, which D's XOR overwrites,
+    or None to sample them; fields are the PatternMaps fields shared by
+    every radius. The work planes are freed on return."""
     sign_codes, magnitude_codes, c_m, centers = _outer_codes(canon, geom)
-    c_I = float(np.mean(canon))
-
-    if mapper is None:
-        mapper = _default_mapper(geom.P)
-    elif mapper.P != geom.P:
-        raise ValueError(f"mapper P={mapper.P} does not match P={geom.P}")
-
     sign = mapper.map_array(sign_codes)
     magnitude = mapper.map_array(magnitude_codes)
     deriv = None
-    if has_derivative(R):
+    if has_derivative(geom.R):
         # D's bit p is sign bit p at R XOR sign bit p at R-1, so its code is
         # the XOR of the two circles' sign codes.
-        inner_codes = _inner_sign_codes(canon, make_geometry(P, R - 1.0), geom.margin)
-        deriv = mapper.map_array(np.bitwise_xor(sign_codes, inner_codes, out=inner_codes))
-
+        if inner_signs is None:
+            inner_signs = _inner_sign_codes(canon, make_geometry(geom.P, geom.R - 1.0),
+                                            geom.margin)
+        deriv = mapper.map_array(np.bitwise_xor(sign_codes, inner_signs, out=inner_signs))
     center = (centers >= c_I).astype(np.uint8)
     for arr in (sign, magnitude, deriv, center):
         if arr is not None:
             arr.flags.writeable = False
-    return PatternMaps(
-        P=geom.P, R=geom.R, region=(x0, y0, x1, y1),
-        sign=sign, magnitude=magnitude, derivative=deriv, center=center,
-        c_m=c_m, c_I=c_I, intensity_lo=lo, intensity_hi=hi,
-    )
+    maps = PatternMaps(P=geom.P, R=geom.R, sign=sign, magnitude=magnitude, derivative=deriv,
+                       center=center, c_m=c_m, c_I=c_I, **fields)
+    return maps, sign_codes
+
+
+def extract_maps(img: GrayImage, P: int, R: float,
+                 mapper: Riu2Mapper | None = None) -> PatternMaps:
+    """Extract sign/magnitude/derivative/center maps for the whole image:
+    the one-radius case of extract_radii."""
+    return extract_radii(img, P, (R,), mapper)[0]
+
+
+def extract_radii(img: GrayImage, P: int, radii,
+                  mapper: Riu2Mapper | None = None) -> list:
+    """The PatternMaps of img at P and each radius in radii, in order, from
+    one canonicalization and one sampling of each circle they need.
+
+    Thresholds come first: c_m is the mean |d| over every valid center and
+    direction at the outer radius, c_I the mean canonical intensity over the
+    whole image. The derivative compares sign bits at radii R and R-1; it is
+    extracted exactly when has_derivative(R), and is None otherwise. Where
+    R-1 is one of radii too, its outer sign codes cropped by one pixel on
+    each side are the sign codes of circle R-1 over R's valid region, bit
+    for bit (the same taps minus the same centers), so that circle is
+    sampled once. mapper defaults to one Riu2Mapper per P, shared by every
+    call. Every radius must leave a valid center, or ValueError names the
+    first that does not.
+
+    Radii are done in increasing order. Float64 memory is one P x Hv x Wv
+    stack at a time, the outer circle's differences, plus O(Hv x Wv): an
+    inner circle that is not one of radii is sampled one offset at a time
+    after the stack is freed, and the uint32 sign codes of R-1 wait for R.
+    """
+    radii = [float(R) for R in radii]
+    for R in radii:
+        make_geometry(P, R)
+    regions = {R: valid_region(img, R) for R in radii}
+    if mapper is None:
+        mapper = _default_mapper(int(P))
+    elif mapper.P != P:
+        raise ValueError(f"mapper P={mapper.P} does not match P={P}")
+
+    canon, lo, hi = canonical_intensity(img.pixels)
+    c_I = float(np.mean(canon))
+    done = {}
+    outer_signs = {}  # sign codes of a radius R-1 for the radius R that follows
+    for R in sorted(regions):
+        inner = outer_signs.pop(R - 1.0, None)
+        done[R], sign_codes = _maps_at(
+            canon, make_geometry(P, R), None if inner is None else inner[1:-1, 1:-1], mapper,
+            region=regions[R], c_I=c_I, intensity_lo=lo, intensity_hi=hi)
+        if R + 1.0 in regions:
+            outer_signs[R] = sign_codes
+    return [done[R] for R in radii]
 
 
 def export_map_pgm(maps: PatternMaps, component: str, path) -> None:

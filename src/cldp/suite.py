@@ -6,10 +6,11 @@ suites and aggregates accuracies the way the rotation-invariance benchmark
 tables do: AVG3 over the canonical three-suite set and AVG2-TC12 over the
 two TC12 illuminant suites.
 
-Suite runs work one (geometry, suite) at a time with all schemes at once:
-each image yields one set of pattern maps, and every scheme's histogram is
-built from it. Features are cached on disk keyed by image content hash, so
-reruns never decode or resample an image twice:
+Suite runs work one (P, suite) at a time, with every radius of that P and
+all schemes at once: each image is read and decoded once per P and yields
+one set of pattern maps per radius from one extraction pass, and every
+scheme's histogram is built from those. Features are cached on disk keyed
+by image content hash, so reruns never decode or resample an image twice:
 
   <cache>/<key[:2]>/<key>.maps   pattern maps per (image, P, R)
   <cache>/<key[:2]>/<key>.hist   histogram per (image, P, R, scheme),
@@ -29,6 +30,7 @@ import os
 import re
 import struct
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,7 +48,8 @@ from .histogram import (
     parse_scheme,
 )
 from .image import GrayImage, Manifest, load_image, load_manifest, normalize_image, save_pgm
-from .patterns import PatternMaps, extract_maps, has_derivative
+from .patterns import PatternMaps, extract_maps, extract_radii, has_derivative
+from .sampler import valid_region
 
 _MAPS_MAGIC = b"CLDPM1"
 
@@ -69,14 +72,16 @@ class ConfigError(ValueError):
 
 
 @contextlib.contextmanager
-def atomic_writer(path):
+def atomic_writer(path, make_parent: bool = True):
     """A binary file to stream output into; readers never see partial output.
 
     The data goes to a temp file beside path, which replaces path when the
-    block exits normally and is deleted when it raises.
+    block exits normally and is deleted when it raises. A missing parent
+    directory is created unless make_parent is false.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    if make_parent:
+        os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -288,11 +293,17 @@ def _maps_from_bytes(payload: bytes, P: int, R: float) -> PatternMaps:
 
 
 class FeatureCache:
-    """Content-addressed store for pattern maps and histograms."""
+    """Content-addressed store for pattern maps and histograms.
+
+    Each <key[:2]> subdirectory is created by the first store into it, once
+    per FeatureCache, whatever the number of threads storing.
+    """
 
     def __init__(self, directory):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
+        self._made = set()
+        self._made_lock = threading.Lock()
 
     def _path(self, key: str, kind: str) -> str:
         return os.path.join(self.directory, key[:2], f"{key}.{kind}")
@@ -324,14 +335,24 @@ class FeatureCache:
     def load_maps(self, key: str, P: int, R: float, sample: str) -> PatternMaps | None:
         return self._load(key, "maps", sample, lambda payload: _maps_from_bytes(payload, P, R))
 
+    def _store(self, key: str, kind: str, payload: bytes) -> None:
+        prefix = key[:2]
+        if prefix not in self._made:
+            with self._made_lock:
+                if prefix not in self._made:
+                    os.makedirs(os.path.join(self.directory, prefix), exist_ok=True)
+                    self._made.add(prefix)
+        with atomic_writer(self._path(key, kind), make_parent=False) as fh:
+            fh.write(_seal(payload))
+
     def store_maps(self, key: str, maps: PatternMaps) -> None:
-        atomic_write_bytes(self._path(key, "maps"), _seal(_maps_to_bytes(maps)))
+        self._store(key, "maps", _maps_to_bytes(maps))
 
     def load_hist(self, key: str, scheme: SchemeExpr, sample: str) -> FeatureHistogram | None:
         return self._load(key, "hist", sample, lambda payload: histogram_from_bytes(payload, scheme))
 
     def store_hist(self, key: str, hist: FeatureHistogram) -> None:
-        atomic_write_bytes(self._path(key, "hist"), _seal(histogram_to_bytes(hist)))
+        self._store(key, "hist", histogram_to_bytes(hist))
 
 
 @contextlib.contextmanager
@@ -353,27 +374,61 @@ def _read_sample(abs_path: str) -> tuple:
     return data, hashlib.sha256(data).hexdigest()
 
 
-def _maps_for_file(rel: str, abs_path: str, sample: tuple | None, P: int, R: float,
-                   cache: FeatureCache | None, normalized: bool) -> PatternMaps:
-    """Pattern maps of one image: the cached entry when there is one, else
-    one extraction, stored in the cache when one is given. sample is the
-    file's (bytes, digest) from _read_sample, or (None, digest) when the
-    digest is known, when a cache is given, and None otherwise; the file is
-    read here when its bytes are needed and not given."""
-    mkey = data = None
-    if cache is not None:
-        data, file_hash = sample
-        mkey = cache.maps_key(file_hash, P, R, normalized)
-        maps = cache.load_maps(mkey, P, float(R), rel)
-        if maps is not None:
-            return maps
+def _attempt(rel: str, step):
+    """step(), or the SuiteError naming sample rel (see _sample_errors) or
+    the CacheError it fails with."""
+    try:
+        with _sample_errors(rel):
+            return step()
+    except (SuiteError, CacheError) as err:
+        return err
+
+
+def _decoded(abs_path: str, data, normalized: bool) -> GrayImage:
     img = load_image(abs_path, data)
-    if normalized:
-        img = normalize_image(img)
-    maps = extract_maps(img, P, R)
+    return normalize_image(img) if normalized else img
+
+
+def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache | None,
+                   normalized: bool, data=None, digest=None) -> list:
+    """Pattern maps of one image at P and each of radii, in order: the cached
+    entry where there is one, else made by one extract_radii pass over the
+    radii that miss, and stored when a cache is given. The file is decoded
+    from data when given and read otherwise; with a cache it is keyed by
+    digest, and read and hashed here when digest is None.
+
+    A radius that fails has its error in place of its maps: the SuiteError
+    naming the sample, or a CacheError. A file that cannot be read or
+    decoded fails every radius that needs it; an empty valid region, a bad
+    cache entry or a failed store fails its radius alone.
+    """
+    out = [None] * len(radii)
     if cache is not None:
-        cache.store_maps(mkey, maps)
-    return maps
+        if digest is None:
+            sample = _attempt(rel, lambda: _read_sample(abs_path))
+            if isinstance(sample, Exception):
+                return [sample] * len(radii)
+            data, digest = sample
+        keys = [cache.maps_key(digest, P, R, normalized) for R in radii]
+        out = [_attempt(rel, lambda: cache.load_maps(key, P, float(R), rel))
+               for key, R in zip(keys, radii)]
+    todo = [i for i, maps in enumerate(out) if maps is None]
+    img = _attempt(rel, lambda: _decoded(abs_path, data, normalized)) if todo else None
+    if isinstance(img, Exception):
+        return [img if maps is None else maps for maps in out]
+    for i in todo:
+        out[i] = _attempt(rel, lambda: valid_region(img, radii[i]) and None)
+    todo = [i for i in todo if out[i] is None]
+    if todo:
+        with _sample_errors(rel):
+            # perfbench/tracer.py wraps cldp.suite.extract_maps: one radius,
+            # as in cldp extract, goes through it.
+            made = ([extract_maps(img, P, radii[todo[0]])] if len(todo) == 1
+                    else extract_radii(img, P, [radii[i] for i in todo]))
+        for i, maps in zip(todo, made):
+            out[i] = maps if cache is None else _attempt(
+                rel, lambda: cache.store_maps(keys[i], maps) or maps)
+    return out
 
 
 def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: float,
@@ -389,18 +444,21 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
     before the file is read; a bad file raises SuiteError naming rel.
     """
     check_scheme(scheme, P, R)
-    sample = hkey = None
+    data = digest = hkey = None
     with _sample_errors(rel):
         if cache is not None:
-            sample = _read_sample(abs_path)
+            data, digest = _read_sample(abs_path)
             if float(R).is_integer():
-                hkey = cache.hist_key(sample[1], P, R, scheme, normalized)
+                hkey = cache.hist_key(digest, P, R, scheme, normalized)
                 hist = cache.load_hist(hkey, scheme, rel)
                 if hist is not None:
                     return hist
-        maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalized)
-        hist = build_histogram(maps, scheme)
-        if hkey is not None:
+    maps, = _maps_for_file(rel, abs_path, P, (R,), cache, normalized, data, digest)
+    if isinstance(maps, Exception):
+        raise maps
+    hist = build_histogram(maps, scheme)
+    if hkey is not None:
+        with _sample_errors(rel):
             cache.store_hist(hkey, hist)
     return hist
 
@@ -421,52 +479,87 @@ def _split_key(manifest, workers: int):
     return tuple(zip(digests, (label for _, label in manifest.entries)))
 
 
-def _run_schemes(spec: SuiteSpec, schemes, P: int, R: float, cache: FeatureCache | None,
+def _run_schemes(spec: SuiteSpec, schemes, P: int, radii, cache: FeatureCache | None,
                  workers: int, normalize: bool, trained=None, split_key=None) -> list:
-    """One EvalReport per scheme, in order, for one suite at one geometry.
+    """One entry per radius of radii, in order, for one suite: the EvalReport
+    of each scheme, in order, at (P, R), or the exception (P, R) failed
+    with, that of the first failing sample in manifest order, train pass
+    first.
 
     schemes are (text, SchemeExpr) pairs that the caller has checked
-    against (P, R); the text names the scheme in its report. Two ordered
-    passes over the worker pool. Train: each file's maps come from the
-    cache, keyed by the file's hash, or from one extraction, and every
-    scheme's histogram is built from them into one ModelSet per scheme;
+    against every (P, R); the text names the scheme in its report. Two
+    ordered passes over the worker pool, in which one worker call handles
+    one image at every radius still running: one read, one decode and one
+    extract_radii pass on a cache miss (_maps_for_file), then each scheme's
+    histogram at each radius, a group that several schemes share counted
+    once. Train: a worker returns the histograms' nonzero bins, and the
+    model sets, one ModelSet per scheme, are built one radius at a time;
     split_key's digests key the cache, so the train files are not hashed
-    again. When trained (a dict) holds model sets under
-    split_key they are used instead, and model sets built under a split_key
-    are added to it; a failed train pass adds nothing. Test: a worker builds
-    a file's histograms and classifies each at once, returning only
-    (label, tied) per scheme, so the test histograms are never all held at
-    once. The first failing sample in manifest order raises, and the reports
-    do not depend on the worker count.
+    again. When trained (a dict) holds the model sets of (split_key, R)
+    they are used instead, and model sets built under a split_key are added
+    to it; a radius whose train pass failed adds nothing. Test: a worker
+    classifies each histogram at once, returning only (label, tied) per
+    scheme and radius, so the test histograms are never all held at once.
+    The reports do not depend on the worker count.
     """
     texts, exprs = zip(*schemes)
 
-    def histograms(entry):
-        rel, abs_path, digest = entry
-        with _sample_errors(rel):
-            sample = None
-            if cache is not None:
-                sample = (None, digest) if digest else _read_sample(abs_path)
-            maps = _maps_for_file(rel, abs_path, sample, P, R, cache, normalize)
-            return [build_histogram(maps, expr) for expr in exprs]
+    def histograms(maps):
+        counted = {}  # each group's bins, counted once for every scheme
+        return [build_histogram(maps, expr, counted=counted) for expr in exprs]
 
-    models = trained.get(split_key) if split_key is not None else None
-    if models is None:
+    def run(manifest, digests, live, use):
+        """{radius index in live: [use(i, histograms) per sample] or the
+        first failure}; stops early when every radius has failed."""
+        def work(entry):
+            rel, abs_path, digest = entry
+            all_maps = _maps_for_file(rel, abs_path, P, [radii[i] for i in live], cache,
+                                      normalize, digest=digest)
+            return [maps if isinstance(maps, Exception) else use(i, histograms(maps))
+                    for i, maps in zip(live, all_maps)]
+
+        got = {i: [] for i in live}
+        with contextlib.closing(map_ordered(work, _files(manifest, digests), workers)) as results:
+            for outcome in results:
+                for i, result in zip(live, outcome):
+                    if isinstance(got[i], Exception):
+                        continue  # the radius failed at an earlier sample
+                    if isinstance(result, Exception):
+                        got[i] = result
+                    else:
+                        got[i].append(result)
+                if all(isinstance(g, Exception) for g in got.values()):
+                    break
+        return got
+
+    models = {}
+    if split_key is not None:
+        models = {i: trained[split_key, R] for i, R in enumerate(radii) if (split_key, R) in trained}
+    todo = [i for i in range(len(radii)) if i not in models]
+    if todo:
         digests = [d for d, _ in split_key] if split_key else None
-        train = list(map_ordered(histograms, _files(spec.train, digests), workers))
-        train_labels = [label for _, label in spec.train.entries]
-        models = [ModelSet([h[k] for h in train], train_labels) for k in range(len(exprs))]
-        del train  # the model sets hold their own copies
-        if split_key is not None:
-            trained[split_key] = models
+        rows = run(spec.train, digests, todo, lambda i, hists: [h.sparse() for h in hists])
+        labels = [label for _, label in spec.train.entries]
+        for i in todo:  # one radius at a time; a model set holds its own copy
+            got = rows.pop(i)
+            if not isinstance(got, Exception):
+                got = [ModelSet([row[k] for row in got], labels) for k in range(len(exprs))]
+                if split_key is not None:
+                    trained[split_key, radii[i]] = got
+            models[i] = got
 
-    def outcomes(entry):
-        return [predict(h, m) for h, m in zip(histograms(entry), models)]
-
-    tested = list(map_ordered(outcomes, _files(spec.test), workers))
+    live = [i for i in range(len(radii)) if not isinstance(models[i], Exception)]
+    tested = run(spec.test, None, live,
+                 lambda i, hists: [predict(h, m) for h, m in zip(hists, models[i])]) if live else {}
     truth = [label for _, label in spec.test.entries]
-    return [summarize(truth, [o[k] for o in tested], m, suite=spec.name, scheme=text)
-            for k, (text, m) in enumerate(zip(texts, models))]
+    reports = []
+    for i in range(len(radii)):
+        got = tested.get(i, models[i])
+        if not isinstance(got, Exception):
+            got = [summarize(truth, [o[k] for o in got], m, suite=spec.name, scheme=text)
+                   for k, (text, m) in enumerate(zip(texts, models[i]))]
+        reports.append(got)
+    return reports
 
 
 def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
@@ -481,7 +574,10 @@ def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
     """
     expr = check_scheme(scheme, P, R)
     cache = FeatureCache(cache_dir) if cache_dir else None
-    return _run_schemes(spec, [(str(scheme), expr)], P, R, cache, workers, normalize)[0]
+    reports, = _run_schemes(spec, [(str(scheme), expr)], P, (float(R),), cache, workers, normalize)
+    if isinstance(reports, Exception):
+        raise reports
+    return reports[0]
 
 
 def _check_cells(schemes, geometries) -> None:
@@ -619,15 +715,19 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
                normalize: bool = False, progress=None) -> MatrixReport:
     """Run every cell of the matrix, recording failures instead of aborting.
 
-    The work goes geometry by geometry and suite by suite, all schemes at
-    once, so each image is read and its maps made or loaded once per
-    geometry and suite; a failure fails every scheme's cell of that
-    (geometry, suite). Suites whose training splits hold the same
-    (content SHA-256, label) sequence share that geometry's model sets,
-    built by the first of them that succeeds; they are dropped when the
-    geometry is done. Cells are listed scheme by scheme, then by geometry
-    and suite. Aggregate rows are appended per (scheme, geometry): AVG3 when
-    the matrix has exactly three suites, AVG2-TC12 when exactly two suite
+    The geometries are grouped by P, and the work goes P by P and suite by
+    suite, every radius of the P and all schemes at once. So each image is
+    read once per (P, suite) pass, and where its maps are not cached it is
+    decoded once and each circle it needs is sampled once. A failure fails
+    every scheme's cell of its (geometry, suite) and no other, with the
+    error of that geometry's first failing sample in manifest order. Suites
+    whose training splits hold the same (content SHA-256, label) sequence
+    share a geometry's model sets, built by the first of them whose train
+    pass at that geometry succeeds; they are dropped when the P is done.
+    progress gets one line per (scheme, geometry) before each (P, suite)
+    pass. Cells are listed scheme by scheme, then by geometry and suite.
+    Aggregate rows are appended per (scheme, geometry): AVG3 when the
+    matrix has exactly three suites, AVG2-TC12 when exactly two suite
     names contain 'TC12'. Both are plain means of the per-suite accuracies,
     so they can be recomputed from the CSV.
     """
@@ -636,24 +736,35 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
     tc12 = [n for n in suite_names if "TC12" in n.upper()]
     schemes = [(text, parse_scheme(text)) for text in matrix.schemes]
     split_keys = [_split_key(spec.train, workers) for spec in matrix.suites]
-    # grid[g][s][k]: the cell of scheme k at geometry g on suite s.
-    grid = []
+    radii_of = {}  # P: its distinct radii, in matrix order
     for P, R in matrix.geometries:
-        trained = {}  # this geometry's model sets, by training split
-        row = []
+        radii = radii_of.setdefault(P, [])
+        if float(R) not in radii:
+            radii.append(float(R))
+    # row_of[P, R][s][k]: the cell of scheme k at (P, R) on suite s.
+    row_of = collections.defaultdict(list)
+    for P, radii in radii_of.items():
+        trained = {}  # this P's model sets, by (training split, R)
         for spec, split_key in zip(matrix.suites, split_keys):
             if progress:
-                for scheme in matrix.schemes:
-                    progress(f"{scheme} ({P},{R:g}) {spec.name}")
+                for R in radii:
+                    for scheme in matrix.schemes:
+                        progress(f"{scheme} ({P},{R:g}) {spec.name}")
             try:
-                reports = _run_schemes(spec, schemes, P, R, cache, workers, normalize,
-                                       trained, split_key)
-                row.append([MatrixCell(scheme, P, float(R), spec.name, rep.accuracy, rep.ties)
-                            for scheme, rep in zip(matrix.schemes, reports)])
+                outcomes = _run_schemes(spec, schemes, P, radii, cache, workers, normalize,
+                                        trained, split_key)
             except Exception as err:  # recorded, surfaced via exit code
-                row.append([MatrixCell(scheme, P, float(R), spec.name, None, 0, error=str(err))
-                            for scheme in matrix.schemes])
-        grid.append(row)
+                outcomes = [err] * len(radii)
+            for R, got in zip(radii, outcomes):
+                if isinstance(got, Exception):
+                    row_of[P, R].append([MatrixCell(scheme, P, R, spec.name, None, 0,
+                                                    error=str(got))
+                                         for scheme in matrix.schemes])
+                else:
+                    row_of[P, R].append([MatrixCell(scheme, P, R, spec.name, rep.accuracy,
+                                                    rep.ties)
+                                         for scheme, rep in zip(matrix.schemes, got)])
+    grid = [row_of[P, float(R)] for P, R in matrix.geometries]
 
     cells = []
     for k, scheme in enumerate(matrix.schemes):

@@ -420,3 +420,26 @@ def test_ramp_orientation_is_invisible_by_design():
     a = build_histogram(extract_maps(h_ramp, 8, 2.0), scheme)
     b = build_histogram(extract_maps(v_ramp, 8, 2.0), scheme)
     assert np.array_equal(a.bins, b.bins)
+
+
+def test_model_set_from_sparse_rows_equals_dense():
+    """A ModelSet built from SparseHistograms keeps the same columns, values
+    and mass, bitwise, and the scheme, P and R of its models."""
+    rng = np.random.default_rng(12)
+    for P, R, text in ((8, 3.0, "S/M/D/C"), (24, 3.0, "S_D_M/C"), (16, 2.0, "S/M/C")):
+        scheme = parse_scheme(text)
+        hists = [build_histogram(extract_maps(gray(np.floor(rng.uniform(0, 256, (20, 24)))), P, R),
+                                 scheme) for _ in range(7)]
+        labels = list(range(7))
+        dense = ModelSet(hists, labels)
+        for sparse in (ModelSet([h.sparse() for h in hists], labels),
+                       ModelSet([h.bins for h in hists], labels)):
+            assert sparse.columns.tobytes() == dense.columns.tobytes()
+            assert sparse.values.tobytes() == dense.values.tobytes()
+            assert sparse.mass.tobytes() == dense.mass.tobytes()
+        sparse = ModelSet([h.sparse() for h in hists], labels)
+        assert (sparse.scheme, sparse.P, sparse.R) == (scheme, P, R)
+        assert (dense.scheme, dense.P, dense.R) == (scheme, P, R)
+        bad = hists[0].sparse()
+        with pytest.raises(ValueError, match="model 1 histogram length 3 is not"):
+            ModelSet([bad, np.ones(3)], [0, 1])

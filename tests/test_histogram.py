@@ -222,3 +222,26 @@ def test_feature_histogram_validates_length():
             bins=np.zeros(9),
             dims=(10,),
         )
+
+
+def test_shared_group_counts_equal_fresh_ones_bitwise():
+    """Schemes that share a group (S, M/C) through one counted dict count it
+    once; each histogram is bitwise the one a fresh count gives, and
+    sparse() keeps exactly its nonzero bins."""
+    maps = extract_maps(gray(random_8bit(np.random.default_rng(11), 30, 26)), 8, 3.0)
+    texts = ("S/M/C", "S/M/D/C", "S_M/C", "S_D_M/C", "S_M/C")
+    schemes = [parse_scheme(t) for t in texts]
+    for normalize in (True, False):
+        counted = {}
+        got = [build_histogram(maps, scheme, normalize, counted) for scheme in schemes]
+        assert set(counted) == {("S", "M", "C"), ("S", "M", "D", "C"), ("S",), ("M", "C"), ("D",)}
+        for hist, scheme in zip(got, schemes):
+            want = build_histogram(maps, scheme, normalize)
+            assert hist.scheme == scheme and hist.dims == want.dims
+            assert hist.bins.tobytes() == want.bins.tobytes()
+            sparse = hist.sparse()
+            assert (sparse.scheme, sparse.P, sparse.R, sparse.size) == (scheme, 8, 3.0, hist.bins.size)
+            dense = np.zeros(sparse.size)
+            dense[sparse.indices] = sparse.values
+            assert dense.tobytes() == hist.bins.tobytes()
+            assert np.all(sparse.values != 0.0)

@@ -7,6 +7,7 @@ from cldp import (
     code_space_stats,
     export_map_pgm,
     extract_maps,
+    extract_radii,
     load_pgm,
 )
 from conftest import gray, random_8bit, traced_peak
@@ -224,3 +225,35 @@ def test_export_map_pgm(tmp_path):
     img = load_pgm(out)
     assert img.pixels.shape == maps.sign.shape
     assert np.array_equal(img.pixels, maps.sign.astype(np.float64) * 28)  # 255 // 9
+
+
+def _assert_maps_equal(got, want):
+    for name in ("sign", "magnitude", "derivative", "center"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("P", "R", "region", "c_m", "c_I", "intensity_lo", "intensity_hi"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("P", [8, 16, 24])
+@pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (3.0, 2.0), (1.5, 2.5)])
+@pytest.mark.parametrize("shape", [(29, 29), (23, 34)])
+def test_extract_radii_equals_extract_maps_per_radius(P, radii, shape):
+    """Where R-1 is one of the radii, R's derivative reuses R-1's outer sign
+    codes cropped by one pixel; extract_maps samples the inner circle
+    itself. Every map and threshold agrees bitwise, in the order asked."""
+    rng = np.random.default_rng(P + 7 * shape[1])
+    img = gray(random_8bit(rng, *shape))
+    got = extract_radii(img, P, radii)
+    assert [m.R for m in got] == list(radii)
+    for R, maps in zip(radii, got):
+        _assert_maps_equal(maps, extract_maps(img, P, R))
+
+
+def test_extract_radii_names_the_first_radius_without_centers():
+    img = gray(np.zeros((6, 6)))
+    assert extract_radii(img, 8, (2.0,))[0].sign.shape == (2, 2)
+    with pytest.raises(ValueError, match=r"no valid centers at R=3.0"):
+        extract_radii(img, 8, (2.0, 3.0))

@@ -35,6 +35,7 @@ from cldp import (
 )
 from cldp import suite as suite_module
 from cldp.histogram import _parse_scheme
+from cldp.sampler import OffsetSampler
 from cldp.suite import _WINDOW_PER_WORKER, map_ordered
 from conftest import gray, random_8bit
 
@@ -557,7 +558,8 @@ def test_run_matrix_builds_each_shared_training_split_once(tmp_path, monkeypatch
 
 def test_run_matrix_does_not_share_a_failed_training_split(tmp_path, monkeypatch):
     """The same corrupt training image in every suite: each suite's own
-    train pass reads it and fails naming it."""
+    train pass reads it, once for both geometries of its P, and fails
+    naming it."""
     suites = _shared_train_suites(tmp_path)
     victim = suites[0].train.entries[3][0]
     for spec in suites:
@@ -579,7 +581,7 @@ def test_run_matrix_does_not_share_a_failed_training_split(tmp_path, monkeypatch
         if cell.suite != "AVG3":
             assert f"sample {victim}: not a P5 PGM" in cell.error
     victims = [spec.train.abs_path(victim) for spec in suites]
-    assert sorted(p for p in loaded if p in victims) == sorted(victims * 2)
+    assert sorted(p for p in loaded if p in victims) == sorted(victims)
 
 
 def test_run_matrix_missing_test_image_fails_only_its_suite(tmp_path):
@@ -638,8 +640,9 @@ def test_run_matrix_cold_cache_holds_one_maps_entry_per_input(tmp_path):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_matrix_hashes_each_training_sample_once(tmp_path, monkeypatch, workers):
     """A run hashes each training file once, to find the shared training
-    splits, and reads it again only to decode it on a cache miss; a test
-    file is read and hashed once per geometry, and only with a cache."""
+    splits, and reads it again only to decode it on a cache miss, once per
+    P; a test file is read once per P, and hashed then only with a cache.
+    Both geometries have P = 8."""
     suites = _shared_train_suites(tmp_path)
     matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES,
                               suites=suites)
@@ -665,9 +668,9 @@ def test_run_matrix_hashes_each_training_sample_once(tmp_path, monkeypatch, work
 
     monkeypatch.setattr("builtins.open", counting_open)
     monkeypatch.setattr(hashlib, "sha256", counting_sha256)
-    per_suite, geometries = 18, len(_FUSED_GEOMETRIES)
-    train, test = 3 * per_suite, geometries * 3 * per_suite
-    decoded = geometries * per_suite  # one shared split, decoded per geometry
+    per_suite, ps = 18, len({P for P, _ in _FUSED_GEOMETRIES})
+    train, test = 3 * per_suite, ps * 3 * per_suite
+    decoded = ps * per_suite  # one shared split, decoded once per P
     cache_dir = tmp_path / "cache"
     for run_cache, want in (
         (None, {("sha256", "train"): train, ("open", "train"): train + decoded,
@@ -680,6 +683,123 @@ def test_run_matrix_hashes_each_training_sample_once(tmp_path, monkeypatch, work
         assert not run_matrix(matrix, cache_dir=run_cache, workers=workers).failed
         assert counts == want
         counts.clear()
+
+
+def _tree(top):
+    """{relative path: bytes} of every file under top."""
+    return {str(path.relative_to(top)): path.read_bytes()
+            for path in sorted(top.rglob("*")) if path.is_file()}
+
+
+def test_run_matrix_cold_cache_equals_per_geometry_runs(tmp_path):
+    """Grouped by P, a cold run writes the cache entries that one run_suite
+    per (geometry, suite) writes: the same keys and the same .maps bytes."""
+    suites = _shared_train_suites(tmp_path)
+    geometries = ((8, 1.0), (8, 2.0), (8, 3.0), (16, 2.5), (16, 1.5))
+    matrix = ExperimentMatrix(schemes=("CLBP_S_M/C",), geometries=geometries, suites=suites)
+    assert not run_matrix(matrix, cache_dir=tmp_path / "grouped", workers=3).failed
+    for P, R in geometries:
+        for spec in suites:
+            run_suite(spec, "CLBP_S_M/C", P, R, cache_dir=tmp_path / "single")
+    grouped = _tree(tmp_path / "grouped")
+    assert len(grouped) == (18 + 3 * 18) * len(geometries)
+    assert grouped == _tree(tmp_path / "single")
+
+
+def test_run_matrix_small_test_image_fails_only_its_geometry(tmp_path):
+    """A 6x6 test image has valid centers at R=2 but not at R=3: only the
+    (8,3) cells of its suite fail, naming it, and the (8,2) cells are those
+    of a run at (8,2) alone."""
+    suites = _shared_train_suites(tmp_path)
+    victim = suites[1].test.entries[4][0]
+    save_pgm(gray(np.zeros((6, 6))), suites[1].test.abs_path(victim))
+    alone = run_matrix(ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=((8, 2.0),),
+                                        suites=suites))
+    assert not alone.failed
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES, suites=suites)
+    for workers, cache_dir in ((1, None), (3, tmp_path / "cache"), (3, tmp_path / "cache")):
+        cells = run_matrix(matrix, cache_dir=cache_dir, workers=workers).cells
+        assert [c for c in cells if c.R == 2.0] == list(alone.cells)
+        for cell in (c for c in cells if c.R == 3.0):
+            if cell.suite == "s1":
+                assert cell.error == f"sample {victim}: image 6x6 has no valid centers at R=3.0"
+            elif cell.suite == "AVG3":
+                assert cell.error == "aggregate over failed cells"
+            else:
+                assert cell.error is None
+
+
+def test_training_image_failing_at_r3_leaves_r2_models_shared(tmp_path, monkeypatch):
+    """The same 6x6 training image in every suite: the (8,2) model sets are
+    built once and shared by all three suites, while every suite's (8,3)
+    train pass fails naming the image, and shares nothing."""
+    suites = _shared_train_suites(tmp_path)
+    victim = suites[0].train.entries[5][0]
+    for spec in suites:
+        save_pgm(gray(np.zeros((6, 6))), spec.train.abs_path(victim))
+    built = []
+    real_model_set = suite_module.ModelSet
+
+    def counting_model_set(histograms, labels):
+        built.append((histograms[0].R, str(histograms[0].scheme)))
+        return real_model_set(histograms, labels)
+
+    monkeypatch.setattr(suite_module, "ModelSet", counting_model_set)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES, suites=suites)
+    report = run_matrix(matrix, workers=3)
+    assert built == [(2.0, str(parse_scheme(s))) for s in _FUSED_SCHEMES]
+    for cell in report.cells:
+        if cell.R == 2.0:
+            assert cell.error is None
+        elif cell.suite != "AVG3":
+            assert cell.error == f"sample {victim}: image 6x6 has no valid centers at R=3.0"
+
+
+def test_run_matrix_samples_three_circles_per_image(tmp_path, monkeypatch):
+    """(8,2) and (8,3) sample the circles of radii 1, 2 and 3 once per
+    decoded image, where one geometry at a time sampled four. The shared
+    training split is decoded once."""
+    suites = _shared_train_suites(tmp_path)
+    made = []
+    real_init = OffsetSampler.__init__
+
+    def counting_init(self, pixels, margin):
+        made.append(margin)
+        real_init(self, pixels, margin)
+
+    monkeypatch.setattr(OffsetSampler, "__init__", counting_init)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES, suites=suites)
+    images = 18 + 3 * 18
+    cache_dir = tmp_path / "cache"
+    for run_cache, want in ((None, 3 * images), (cache_dir, 3 * images), (cache_dir, 0)):
+        assert not run_matrix(matrix, cache_dir=run_cache, workers=3).failed
+        assert len(made) == want
+        made.clear()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_feature_cache_makes_each_subdirectory_once(tmp_path, monkeypatch, workers):
+    """A cold run makes the cache root and each <key[:2]> subdirectory it
+    stores into, each once; --out style writes still make a missing parent."""
+    made = []
+    real_mkdir = os.mkdir
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(os.fspath(path))
+        return real_mkdir(path, *args, **kwargs)
+
+    suites = _shared_train_suites(tmp_path)
+    monkeypatch.setattr(os, "mkdir", counting_mkdir)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES, suites=suites)
+    cache_dir = tmp_path / "cache"
+    assert not run_matrix(matrix, cache_dir=cache_dir, workers=workers).failed
+    prefixes = [p for p in cache_dir.iterdir() if p.is_dir()]
+    assert len(list(cache_dir.rglob("*.maps"))) == 72 * 2 > len(prefixes)
+    assert sorted(made) == sorted([str(cache_dir)] + [str(p) for p in prefixes])
+    made.clear()
+    atomic_write_text(tmp_path / "new" / "out.csv", "x\n")
+    assert (tmp_path / "new" / "out.csv").read_text() == "x\n"
+    assert made == [str(tmp_path / "new")]
 
 
 def test_map_ordered_keeps_a_bounded_window():
