@@ -20,7 +20,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .histogram import check_scheme, format_histogram_csv_row, histogram_to_bytes
+from .histogram import binary_radius, check_scheme, format_histogram_csv_row, histogram_to_bytes
 from .image import load_manifest
 from .patterns import code_space_stats
 from .suite import (
@@ -88,9 +88,11 @@ def cmd_extract(args) -> int:
     """
     expr = check_scheme(args.scheme, args.P, args.R)
     fmt, root = _manifest_source(args.input, args)
-    if fmt is not None:
-        if args.format == "binary":
+    if args.format == "binary":
+        if fmt is not None:
             raise ValueError("--format binary holds one histogram; use csv for manifests")
+        binary_radius(args.R)
+    if fmt is not None:
         manifest = load_manifest(args.input, root, fmt)
         tasks = [(rel, label, manifest.abs_path(rel)) for rel, label in manifest.entries]
     else:

@@ -71,55 +71,35 @@ def parse_scheme(text: str) -> SchemeExpr:
 
 @functools.lru_cache(maxsize=256)
 def _parse_scheme(text: str) -> SchemeExpr:
-    base = 0
-    body = text
-    forbid_d = False
-    for prefix in _PREFIXES:
-        if text.startswith(prefix):
-            base = len(prefix)
-            body = text[base:]
-            forbid_d = prefix == "CLBP_"
-            break
-    if not body:
-        raise SchemeError("scheme has a prefix but no components", base)
-
-    groups = []
-    group_starts = []
-    current = []
-    current_start = base
-    seen = set()
-    expect_component = True
-    for i, ch in enumerate(body):
-        pos = base + i
-        if expect_component:
+    # Split into '_' groups of '/' tokens; a valid token is one component
+    # letter. The first error in text order wins, then a lone C group.
+    prefix = next((p for p in _PREFIXES if text.startswith(p)), "")
+    pos = len(prefix)
+    if pos == len(text):
+        raise SchemeError("scheme has a prefix but no components", pos)
+    groups, lone_c, seen = [], [], set()
+    for group_text in text[pos:].split("_"):
+        start, group = pos, []
+        for token in group_text.split("/"):
+            if pos == len(text):
+                raise SchemeError("scheme ends with a dangling separator", pos - 1)
+            ch = token[:1] or text[pos]  # an empty token stands before a separator
             if ch not in COMPONENTS:
                 raise SchemeError(f"expected a component letter, got {ch!r}", pos)
             if ch in seen:
                 raise SchemeError(f"component {ch!r} used twice", pos)
-            if ch == "D" and forbid_d:
+            if ch == "D" and prefix == "CLBP_":
                 raise SchemeError("CLBP_ schemes cannot use the D component", pos)
-            if not current:
-                current_start = pos
+            if len(token) > 1:
+                raise SchemeError(f"expected '/', '_' or end, got {token[1]!r}", pos + 1)
             seen.add(ch)
-            current.append(ch)
-            expect_component = False
-        else:
-            if ch == "/":
-                expect_component = True
-            elif ch == "_":
-                groups.append(tuple(current))
-                group_starts.append(current_start)
-                current = []
-                expect_component = True
-            else:
-                raise SchemeError(f"expected '/', '_' or end, got {ch!r}", pos)
-    if expect_component:
-        raise SchemeError("scheme ends with a dangling separator", base + len(body) - 1)
-    groups.append(tuple(current))
-    group_starts.append(current_start)
-    for group, start in zip(groups, group_starts):
-        if group == ("C",):
-            raise SchemeError("C cannot stand alone as a group", start)
+            group.append(ch)
+            pos += 2
+        groups.append(tuple(group))
+        if group == ["C"]:
+            lone_c.append(start)
+    if lone_c:
+        raise SchemeError("C cannot stand alone as a group", lone_c[0])
     return SchemeExpr(tuple(groups))
 
 
@@ -258,6 +238,14 @@ def format_histogram_csv_row(path: str, label: int, hist: FeatureHistogram) -> s
     return f"{head},{','.join(cells)}"
 
 
+def binary_radius(R) -> int:
+    """R as the binary header stores it, a u32: a ValueError unless R is
+    integral. cldp extract checks this before it reads a sample."""
+    if not float(R).is_integer():
+        raise ValueError(f"binary histogram header stores R as u32; R={R} is not integral")
+    return int(R)
+
+
 def histogram_to_bytes(hist: FeatureHistogram) -> bytes:
     """Serialize to the compact binary form.
 
@@ -265,11 +253,9 @@ def histogram_to_bytes(hist: FeatureHistogram) -> bytes:
     and the per-group dims, then the bins as little-endian float64. R must be
     integral to fit the fixed-width header.
     """
-    if not float(hist.R).is_integer():
-        raise ValueError(f"binary histogram header stores R as u32; R={hist.R} is not integral")
     header = struct.pack(
         f"<III{len(hist.dims)}I",
-        hist.P, int(hist.R), len(hist.dims), *hist.dims,
+        hist.P, binary_radius(hist.R), len(hist.dims), *hist.dims,
     )
     return _MAGIC + header + hist.bins.astype("<f8").tobytes()
 

@@ -71,18 +71,25 @@ class ConfigError(ValueError):
     """A suite or matrix config file cannot be parsed."""
 
 
+_MKDIR_LOCK = threading.Lock()
+
+
 @contextlib.contextmanager
-def atomic_writer(path, make_parent: bool = True):
+def atomic_writer(path):
     """A binary file to stream output into; readers never see partial output.
 
     The data goes to a temp file beside path, which replaces path when the
-    block exits normally and is deleted when it raises. A missing parent
-    directory is created unless make_parent is false.
+    block exits normally and is deleted when it raises. A parent directory
+    that mkstemp finds missing is made, once however many threads find it.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    if make_parent:
-        os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    except FileNotFoundError:
+        with _MKDIR_LOCK:
+            if not os.path.isdir(directory):
+                os.makedirs(directory, exist_ok=True)  # another process may make it
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -295,15 +302,13 @@ def _maps_from_bytes(payload: bytes, P: int, R: float) -> PatternMaps:
 class FeatureCache:
     """Content-addressed store for pattern maps and histograms.
 
-    Each <key[:2]> subdirectory is created by the first store into it, once
-    per FeatureCache, whatever the number of threads storing.
+    Each <key[:2]> subdirectory is created by atomic_writer on the first
+    store into it.
     """
 
     def __init__(self, directory):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self._made = set()
-        self._made_lock = threading.Lock()
 
     def _path(self, key: str, kind: str) -> str:
         return os.path.join(self.directory, key[:2], f"{key}.{kind}")
@@ -336,13 +341,7 @@ class FeatureCache:
         return self._load(key, "maps", sample, lambda payload: _maps_from_bytes(payload, P, R))
 
     def _store(self, key: str, kind: str, payload: bytes) -> None:
-        prefix = key[:2]
-        if prefix not in self._made:
-            with self._made_lock:
-                if prefix not in self._made:
-                    os.makedirs(os.path.join(self.directory, prefix), exist_ok=True)
-                    self._made.add(prefix)
-        with atomic_writer(self._path(key, kind), make_parent=False) as fh:
+        with atomic_writer(self._path(key, kind)) as fh:
             fh.write(_seal(payload))
 
     def store_maps(self, key: str, maps: PatternMaps) -> None:
@@ -355,17 +354,6 @@ class FeatureCache:
         self._store(key, "hist", histogram_to_bytes(hist))
 
 
-@contextlib.contextmanager
-def _sample_errors(rel: str):
-    """Raise an OSError or ValueError from reading, decoding, normalizing or
-    extracting sample rel as a SuiteError naming it; the configuration was
-    checked before, so the error is the sample's. CacheError passes."""
-    try:
-        yield
-    except (OSError, ValueError) as err:
-        raise SuiteError(f"sample {rel}: {err}") from None
-
-
 def _read_sample(abs_path: str) -> tuple:
     """(bytes, SHA-256 hex digest) of a sample file, read once: the digest
     keys the cache, and on a miss the same bytes are decoded."""
@@ -375,13 +363,23 @@ def _read_sample(abs_path: str) -> tuple:
 
 
 def _attempt(rel: str, step):
-    """step(), or the SuiteError naming sample rel (see _sample_errors) or
-    the CacheError it fails with."""
+    """step(), or the error it fails with, the one place a sample's error is
+    named: an OSError or ValueError becomes a SuiteError naming sample rel
+    (the configuration was checked before, so the error is the sample's),
+    and a CacheError is returned as it is."""
     try:
-        with _sample_errors(rel):
-            return step()
-    except (SuiteError, CacheError) as err:
+        return step()
+    except (OSError, ValueError) as err:
+        return SuiteError(f"sample {rel}: {err}")
+    except CacheError as err:
         return err
+
+
+def _raised(outcome):
+    """outcome, or raise it when it is an error (see _attempt)."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _decoded(abs_path: str, data, normalized: bool) -> GrayImage:
@@ -399,8 +397,9 @@ def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache |
 
     A radius that fails has its error in place of its maps: the SuiteError
     naming the sample, or a CacheError. A file that cannot be read or
-    decoded fails every radius that needs it; an empty valid region, a bad
-    cache entry or a failed store fails its radius alone.
+    decoded fails every radius that needs it, and a failed extraction the
+    radii it was extracting; an empty valid region, a bad cache entry or a
+    failed store fails its radius alone.
     """
     out = [None] * len(radii)
     if cache is not None:
@@ -420,13 +419,14 @@ def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache |
         out[i] = _attempt(rel, lambda: valid_region(img, radii[i]) and None)
     todo = [i for i in todo if out[i] is None]
     if todo:
-        with _sample_errors(rel):
-            # perfbench/tracer.py wraps cldp.suite.extract_maps: one radius,
-            # as in cldp extract, goes through it.
-            made = ([extract_maps(img, P, radii[todo[0]])] if len(todo) == 1
-                    else extract_radii(img, P, [radii[i] for i in todo]))
+        # perfbench/tracer.py wraps cldp.suite.extract_maps: one radius, as
+        # in cldp extract, goes through it.
+        made = _attempt(rel, lambda: [extract_maps(img, P, radii[todo[0]])] if len(todo) == 1
+                        else extract_radii(img, P, [radii[i] for i in todo]))
+        if isinstance(made, Exception):
+            made = [made] * len(todo)
         for i, maps in zip(todo, made):
-            out[i] = maps if cache is None else _attempt(
+            out[i] = maps if cache is None or isinstance(maps, Exception) else _attempt(
                 rel, lambda: cache.store_maps(keys[i], maps) or maps)
     return out
 
@@ -445,21 +445,17 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
     """
     check_scheme(scheme, P, R)
     data = digest = hkey = None
-    with _sample_errors(rel):
-        if cache is not None:
-            data, digest = _read_sample(abs_path)
-            if float(R).is_integer():
-                hkey = cache.hist_key(digest, P, R, scheme, normalized)
-                hist = cache.load_hist(hkey, scheme, rel)
-                if hist is not None:
-                    return hist
+    if cache is not None:
+        data, digest = _raised(_attempt(rel, lambda: _read_sample(abs_path)))
+        if float(R).is_integer():
+            hkey = cache.hist_key(digest, P, R, scheme, normalized)
+            hist = _raised(_attempt(rel, lambda: cache.load_hist(hkey, scheme, rel)))
+            if hist is not None:
+                return hist
     maps, = _maps_for_file(rel, abs_path, P, (R,), cache, normalized, data, digest)
-    if isinstance(maps, Exception):
-        raise maps
-    hist = build_histogram(maps, scheme)
+    hist = build_histogram(_raised(maps), scheme)
     if hkey is not None:
-        with _sample_errors(rel):
-            cache.store_hist(hkey, hist)
+        _raised(_attempt(rel, lambda: cache.store_hist(hkey, hist)))
     return hist
 
 
@@ -479,86 +475,87 @@ def _split_key(manifest, workers: int):
     return tuple(zip(digests, (label for _, label in manifest.entries)))
 
 
-def _run_schemes(spec: SuiteSpec, schemes, P: int, radii, cache: FeatureCache | None,
-                 workers: int, normalize: bool, trained=None, split_key=None) -> list:
-    """One entry per radius of radii, in order, for one suite: the EvalReport
-    of each scheme, in order, at (P, R), or the exception (P, R) failed
-    with, that of the first failing sample in manifest order, train pass
-    first.
+def _histograms(maps, schemes) -> list:
+    """The histogram of maps for each (text, SchemeExpr) of schemes, a group
+    that several schemes share counted once."""
+    counted = {}
+    return [build_histogram(maps, expr, counted=counted) for _, expr in schemes]
 
-    schemes are (text, SchemeExpr) pairs that the caller has checked
-    against every (P, R); the text names the scheme in its report. Two
-    ordered passes over the worker pool, in which one worker call handles
-    one image at every radius still running: one read, one decode and one
-    extract_radii pass on a cache miss (_maps_for_file), then each scheme's
-    histogram at each radius, a group that several schemes share counted
-    once. Train: a worker returns the histograms' nonzero bins, and the
-    model sets, one ModelSet per scheme, are built one radius at a time;
-    split_key's digests key the cache, so the train files are not hashed
-    again. When trained (a dict) holds the model sets of (split_key, R)
-    they are used instead, and model sets built under a split_key are added
-    to it; a radius whose train pass failed adds nothing. Test: a worker
-    classifies each histogram at once, returning only (label, tied) per
-    scheme and radius, so the test histograms are never all held at once.
-    The reports do not depend on the worker count.
+
+def _pass(files, P: int, radii, cache: FeatureCache | None, workers: int, normalize: bool,
+          use) -> dict:
+    """{R: [use(R, maps) per file, in order] or the first failure at R, for
+    each R of radii}, from one ordered pass over the worker pool.
+
+    files are _files entries. One worker call handles one image at every
+    radius: one read, one decode and one extract_radii pass on a cache miss
+    (_maps_for_file), then use. The pass stops early once every radius has
+    failed; the result does not depend on the worker count.
     """
-    texts, exprs = zip(*schemes)
+    if not radii:
+        return {}
 
-    def histograms(maps):
-        counted = {}  # each group's bins, counted once for every scheme
-        return [build_histogram(maps, expr, counted=counted) for expr in exprs]
+    def work(entry):
+        rel, abs_path, digest = entry
+        all_maps = _maps_for_file(rel, abs_path, P, radii, cache, normalize, digest=digest)
+        return [maps if isinstance(maps, Exception) else use(R, maps)
+                for R, maps in zip(radii, all_maps)]
 
-    def run(manifest, digests, live, use):
-        """{radius index in live: [use(i, histograms) per sample] or the
-        first failure}; stops early when every radius has failed."""
-        def work(entry):
-            rel, abs_path, digest = entry
-            all_maps = _maps_for_file(rel, abs_path, P, [radii[i] for i in live], cache,
-                                      normalize, digest=digest)
-            return [maps if isinstance(maps, Exception) else use(i, histograms(maps))
-                    for i, maps in zip(live, all_maps)]
-
-        got = {i: [] for i in live}
-        with contextlib.closing(map_ordered(work, _files(manifest, digests), workers)) as results:
-            for outcome in results:
-                for i, result in zip(live, outcome):
-                    if isinstance(got[i], Exception):
-                        continue  # the radius failed at an earlier sample
+    got = {R: [] for R in radii}
+    with contextlib.closing(map_ordered(work, files, workers)) as results:
+        for outcome in results:
+            for R, result in zip(radii, outcome):
+                if isinstance(got[R], list):
                     if isinstance(result, Exception):
-                        got[i] = result
+                        got[R] = result
                     else:
-                        got[i].append(result)
-                if all(isinstance(g, Exception) for g in got.values()):
-                    break
-        return got
+                        got[R].append(result)
+            if not any(isinstance(g, list) for g in got.values()):
+                break
+    return got
 
-    models = {}
-    if split_key is not None:
-        models = {i: trained[split_key, R] for i, R in enumerate(radii) if (split_key, R) in trained}
-    todo = [i for i in range(len(radii)) if i not in models]
-    if todo:
-        digests = [d for d, _ in split_key] if split_key else None
-        rows = run(spec.train, digests, todo, lambda i, hists: [h.sparse() for h in hists])
-        labels = [label for _, label in spec.train.entries]
-        for i in todo:  # one radius at a time; a model set holds its own copy
-            got = rows.pop(i)
-            if not isinstance(got, Exception):
-                got = [ModelSet([row[k] for row in got], labels) for k in range(len(exprs))]
-                if split_key is not None:
-                    trained[split_key, radii[i]] = got
-            models[i] = got
 
-    live = [i for i in range(len(radii)) if not isinstance(models[i], Exception)]
-    tested = run(spec.test, None, live,
-                 lambda i, hists: [predict(h, m) for h, m in zip(hists, models[i])]) if live else {}
+def _train(spec: SuiteSpec, schemes, P: int, radii, cache: FeatureCache | None, workers: int,
+           normalize: bool, digests=None) -> dict:
+    """{R: one ModelSet per scheme, or the first failure of the train pass
+    at R, for each R of radii}.
+
+    A worker returns only the histograms' nonzero bins, and the model sets
+    are built one radius at a time. digests, when given, are the training
+    files' SHA-256s, which key the cache so the files are not hashed again.
+    """
+    labels = [label for _, label in spec.train.entries]
+    rows = _pass(_files(spec.train, digests), P, radii, cache, workers, normalize,
+                 lambda R, maps: [h.sparse() for h in _histograms(maps, schemes)])
+    for R, got in rows.items():  # a model set holds its own copy of its rows
+        if not isinstance(got, Exception):
+            rows[R] = [ModelSet([row[k] for row in got], labels) for k in range(len(schemes))]
+    return rows
+
+
+def _test(spec: SuiteSpec, schemes, P: int, models: dict, cache: FeatureCache | None,
+          workers: int, normalize: bool) -> dict:
+    """{R: the EvalReport of each scheme at (P, R), or R's failure, for each
+    R of models}: models holds _train's outcomes, and schemes are (text,
+    SchemeExpr) pairs checked against every (P, R), the text naming the
+    scheme in its report.
+
+    A worker classifies each histogram at once and returns only (label,
+    tied) per scheme and radius, so the test histograms are never all held
+    at once. A radius that failed to train is not tested.
+    """
+    live = [R for R, m in models.items() if not isinstance(m, Exception)]
+    tested = _pass(_files(spec.test), P, live, cache, workers, normalize,
+                   lambda R, maps: [predict(h, m) for h, m in zip(_histograms(maps, schemes),
+                                                                   models[R])])
     truth = [label for _, label in spec.test.entries]
-    reports = []
-    for i in range(len(radii)):
-        got = tested.get(i, models[i])
+    reports = {}
+    for R, trained in models.items():
+        got = tested.get(R, trained)
         if not isinstance(got, Exception):
             got = [summarize(truth, [o[k] for o in got], m, suite=spec.name, scheme=text)
-                   for k, (text, m) in enumerate(zip(texts, models[i]))]
-        reports.append(got)
+                   for k, ((text, _), m) in enumerate(zip(schemes, trained))]
+        reports[R] = got
     return reports
 
 
@@ -570,14 +567,15 @@ def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
     prefixes survive into tables) or a parsed SchemeExpr. workers > 1
     parallelizes feature extraction and classification; results are reduced
     in manifest order, so the report is byte-identical for any worker count.
-    A bad (scheme, P, R) raises ValueError before any file is touched.
+    A bad (scheme, P, R) raises ValueError before any file is touched; the
+    first failing sample, train pass first, raises its error.
     """
     expr = check_scheme(scheme, P, R)
     cache = FeatureCache(cache_dir) if cache_dir else None
-    reports, = _run_schemes(spec, [(str(scheme), expr)], P, (float(R),), cache, workers, normalize)
-    if isinstance(reports, Exception):
-        raise reports
-    return reports[0]
+    schemes = [(str(scheme), expr)]
+    models = _train(spec, schemes, P, [float(R)], cache, workers, normalize)
+    reports, = _test(spec, schemes, P, models, cache, workers, normalize).values()
+    return _raised(reports)[0]
 
 
 def _check_cells(schemes, geometries) -> None:
@@ -716,16 +714,18 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
     """Run every cell of the matrix, recording failures instead of aborting.
 
     The geometries are grouped by P, and the work goes P by P and suite by
-    suite, every radius of the P and all schemes at once. So each image is
-    read once per (P, suite) pass, and where its maps are not cached it is
-    decoded once and each circle it needs is sampled once. A failure fails
-    every scheme's cell of its (geometry, suite) and no other, with the
-    error of that geometry's first failing sample in manifest order. Suites
-    whose training splits hold the same (content SHA-256, label) sequence
-    share a geometry's model sets, built by the first of them whose train
-    pass at that geometry succeeds; they are dropped when the P is done.
-    progress gets one line per (scheme, geometry) before each (P, suite)
-    pass. Cells are listed scheme by scheme, then by geometry and suite.
+    suite, a train pass then a test pass over every radius of the P and
+    all schemes at once. So each image is read once per (P, suite) pass,
+    and where its maps are not cached it is decoded once and each circle it
+    needs is sampled once. A failure fails every scheme's cell of its
+    (geometry, suite) and no other, with the error of that geometry's first
+    failing sample in manifest order. Suites whose training splits hold the
+    same (content SHA-256, label) sequence share a geometry's model sets,
+    built by the first of them whose train pass at that geometry succeeds;
+    they are dropped when the P is done, and only each (geometry, suite)
+    position's reports or failure are kept. progress gets one line per
+    (scheme, geometry) before each (P, suite) pass. Cells are listed scheme
+    by scheme, then by geometry and suite.
     Aggregate rows are appended per (scheme, geometry): AVG3 when the
     matrix has exactly three suites, AVG2-TC12 when exactly two suite
     names contain 'TC12'. Both are plain means of the per-suite accuracies,
@@ -736,55 +736,53 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
     tc12 = [n for n in suite_names if "TC12" in n.upper()]
     schemes = [(text, parse_scheme(text)) for text in matrix.schemes]
     split_keys = [_split_key(spec.train, workers) for spec in matrix.suites]
-    radii_of = {}  # P: its distinct radii, in matrix order
+    radii_of = {}  # P: its distinct radii, in matrix order, as the keys of a dict
     for P, R in matrix.geometries:
-        radii = radii_of.setdefault(P, [])
-        if float(R) not in radii:
-            radii.append(float(R))
-    # row_of[P, R][s][k]: the cell of scheme k at (P, R) on suite s.
-    row_of = collections.defaultdict(list)
+        radii_of.setdefault(P, {})[float(R)] = None
+    outcome = {}  # (P, R, suite position): one EvalReport per scheme, or the failure
     for P, radii in radii_of.items():
         trained = {}  # this P's model sets, by (training split, R)
-        for spec, split_key in zip(matrix.suites, split_keys):
+        for s, (spec, split_key) in enumerate(zip(matrix.suites, split_keys)):
             if progress:
                 for R in radii:
                     for scheme in matrix.schemes:
                         progress(f"{scheme} ({P},{R:g}) {spec.name}")
             try:
-                outcomes = _run_schemes(spec, schemes, P, radii, cache, workers, normalize,
-                                        trained, split_key)
+                models = {R: trained.get((split_key, R)) for R in radii}  # None: not shared
+                models.update(_train(spec, schemes, P, [R for R in radii if models[R] is None],
+                                     cache, workers, normalize,
+                                     [d for d, _ in split_key] if split_key else None))
+                if split_key is not None:
+                    trained.update(((split_key, R), m) for R, m in models.items()
+                                   if not isinstance(m, Exception))
+                got = _test(spec, schemes, P, models, cache, workers, normalize)
             except Exception as err:  # recorded, surfaced via exit code
-                outcomes = [err] * len(radii)
-            for R, got in zip(radii, outcomes):
-                if isinstance(got, Exception):
-                    row_of[P, R].append([MatrixCell(scheme, P, R, spec.name, None, 0,
-                                                    error=str(got))
-                                         for scheme in matrix.schemes])
-                else:
-                    row_of[P, R].append([MatrixCell(scheme, P, R, spec.name, rep.accuracy,
-                                                    rep.ties)
-                                         for scheme, rep in zip(matrix.schemes, got)])
-    grid = [row_of[P, float(R)] for P, R in matrix.geometries]
+                got = dict.fromkeys(radii, err)
+            outcome.update(((P, R, s), reports) for R, reports in got.items())
 
     cells = []
     for k, scheme in enumerate(matrix.schemes):
-        for (P, R), row in zip(matrix.geometries, grid):
-            group = [by_scheme[k] for by_scheme in row]
+        for P, R in matrix.geometries:
+            R = float(R)
+            group = []
+            for s, name in enumerate(suite_names):
+                got = outcome[P, R, s]
+                group.append(MatrixCell(scheme, P, R, name, None, 0, error=str(got))
+                             if isinstance(got, Exception)
+                             else MatrixCell(scheme, P, R, name, got[k].accuracy, got[k].ties))
             cells.extend(group)
 
             def aggregate(name, members):
                 if any(c.accuracy is None for c in members):
-                    return MatrixCell(scheme, P, float(R), name, None, 0,
+                    return MatrixCell(scheme, P, R, name, None, 0,
                                       error="aggregate over failed cells")
                 acc = sum(c.accuracy for c in members) / len(members)
-                return MatrixCell(scheme, P, float(R), name, acc,
-                                  sum(c.ties for c in members))
+                return MatrixCell(scheme, P, R, name, acc, sum(c.ties for c in members))
 
             if len(suite_names) == 3:
                 cells.append(aggregate("AVG3", group))
             if len(tc12) == 2:
-                members = [c for c in group if c.suite in tc12]
-                cells.append(aggregate("AVG2-TC12", members))
+                cells.append(aggregate("AVG2-TC12", [c for c in group if c.suite in tc12]))
     return MatrixReport(
         cells=tuple(cells),
         schemes=matrix.schemes,

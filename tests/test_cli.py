@@ -389,6 +389,20 @@ def test_bad_geometry_exits_1_before_any_sample_is_opened(tmp_path, capsys, monk
         assert opened == [], geometry
 
 
+def test_extract_binary_fractional_radius_exits_1_before_the_sample_is_opened(tmp_path,
+                                                                             capsys,
+                                                                             monkeypatch):
+    img_dir, names = _write_images(tmp_path, count=1)
+    out = tmp_path / "x.bin"
+    opened = _count_opens(monkeypatch, img_dir)
+    assert main(["extract", str(img_dir / names[0]), "-R", "2.5", "--format", "binary",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "binary histogram header stores R as u32; R=2.5 is not integral" in err
+    assert opened == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["extract", "classify"])
 def test_sample_too_small_for_radius_exits_2_naming_it(tmp_path, capsys, command):
     spec = _synth(tmp_path)

@@ -45,13 +45,28 @@ def test_parse_rejects_malformed(text):
         parse_scheme(text)
 
 
+# One string per kind of error: its message and 0-based position. In C_S/x
+# the syntax error at 4 comes before the lone-C check of group 0.
+_PARSE_ERRORS = [
+    ("CLDP_", "scheme has a prefix but no components", 5),
+    ("S//M", "expected a component letter, got '/'", 2),
+    ("S/", "scheme ends with a dangling separator", 1),
+    ("SM", "expected '/', '_' or end, got 'M'", 1),
+    ("S/S", "component 'S' used twice", 2),
+    ("S/M/M", "component 'M' used twice", 4),
+    ("CLBP_S/D", "CLBP_ schemes cannot use the D component", 7),
+    ("x", "expected a component letter, got 'x'", 0),
+    ("C_S/x", "expected a component letter, got 'x'", 4),
+    ("C_S", "C cannot stand alone as a group", 0),
+]
+
+
 def test_parse_error_positions():
-    with pytest.raises(SchemeError) as err:
-        parse_scheme("S/M/M")
-    assert err.value.position == 4
-    with pytest.raises(SchemeError) as err:
-        parse_scheme("CLBP_S/D")
-    assert err.value.position == 7
+    for text, message, position in _PARSE_ERRORS:
+        with pytest.raises(SchemeError) as err:
+            parse_scheme(text)
+        assert str(err.value) == f"{message} (at position {position})", text
+        assert err.value.position == position, text
 
 
 def test_component_bins():

@@ -777,6 +777,55 @@ def test_run_matrix_samples_three_circles_per_image(tmp_path, monkeypatch):
         made.clear()
 
 
+def test_extraction_error_fails_only_the_radii_it_was_extracting(tmp_path, monkeypatch):
+    """With the (8,2) maps cached, a test image whose (8,3) extraction
+    raises fails only its suite's (8,3) cells, naming it; its (8,2) cells
+    are those of a run without the fault."""
+    suites = _shared_train_suites(tmp_path)
+    cache_dir = tmp_path / "cache"
+    warm = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=((8, 2.0),), suites=suites)
+    assert not run_matrix(warm, cache_dir=cache_dir).failed
+    victim = suites[1].test.entries[2][0]
+    faulty = suite_module.load_image(suites[1].test.abs_path(victim)).pixels.tobytes()
+    for name in ("extract_maps", "extract_radii"):
+        def failing(img, *args, real=getattr(suite_module, name)):
+            if img.pixels.tobytes() == faulty:
+                raise ValueError("boom")
+            return real(img, *args)
+
+        monkeypatch.setattr(suite_module, name, failing)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=_FUSED_GEOMETRIES, suites=suites)
+    report = run_matrix(matrix, cache_dir=cache_dir, workers=3)
+    for cell in report.cells:
+        if cell.R == 3.0 and cell.suite == "s1":
+            assert cell.error == f"sample {victim}: boom"
+        elif cell.R == 3.0 and cell.suite == "AVG3":
+            assert cell.error == "aggregate over failed cells"
+        else:
+            assert cell.error is None, cell
+
+
+def test_suites_sharing_a_name_keep_their_own_rows(tmp_path):
+    """Two suites named alike with different images and accuracies: each
+    keeps its own cells, in suite order, whatever the worker count."""
+    first = _tiny_suite(tmp_path, name="a", classes=3, samples=2, size=20, seed=3)
+    other = _tiny_suite(tmp_path, name="b", classes=3, samples=2, size=20, seed=9)
+    shifted = tmp_path / "b" / "shifted.csv"  # every test label moved to the next class
+    shifted.write_text("".join(f"{rel},{(label + 1) % 3}\n" for rel, label in other.test.entries))
+    second = SuiteSpec(first.name, other.train,
+                       load_manifest(shifted, tmp_path / "b" / "images", "native-csv"))
+    matrix = ExperimentMatrix(schemes=("CLBP_S/M/C",), geometries=((8, 1.0), (8, 2.0)),
+                              suites=(first, second))
+    reports = [run_matrix(matrix, workers=workers) for workers in (1, 2)]
+    assert reports[0].cells == reports[1].cells
+    for P, R in matrix.geometries:
+        rows = [c for c in reports[0].cells if (c.P, c.R) == (P, R)]
+        assert [c.suite for c in rows] == [first.name] * 2
+        want = [run_suite(spec, "CLBP_S/M/C", P, R) for spec in (first, second)]
+        assert [(c.accuracy, c.ties) for c in rows] == [(w.accuracy, w.ties) for w in want]
+        assert rows[0] != rows[1]
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_feature_cache_makes_each_subdirectory_once(tmp_path, monkeypatch, workers):
     """A cold run makes the cache root and each <key[:2]> subdirectory it
