@@ -101,9 +101,8 @@ def cmd_extract(args) -> int:
         tasks = [(args.input, -1, args.input)]
 
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
-    normalized = args.normalize is not None
     hists = map_ordered(
-        lambda t: histogram_for_file(t[0], t[2], expr, args.P, args.R, cache, normalized),
+        lambda t: histogram_for_file(t[0], t[2], expr, args.P, args.R, cache),
         tasks,
         args.workers,
     )
@@ -138,11 +137,8 @@ def cmd_classify(args) -> int:
         if not (args.train and args.test):
             raise ValueError("classify needs either --config or both --train and --test")
         spec = _adhoc_suite(args)
-    rep = run_suite(
-        spec, args.scheme, args.P, args.R,
-        cache_dir=args.cache_dir, workers=args.workers,
-        normalize=args.normalize is not None,
-    )
+    rep = run_suite(spec, args.scheme, args.P, args.R,
+                    cache_dir=args.cache_dir, workers=args.workers)
     if args.format == "json":
         text = rep.to_json()
     elif args.format == "csv":
@@ -161,10 +157,8 @@ def cmd_bench(args) -> int:
     if not args.quiet:
         def progress(msg):
             print(msg, file=sys.stderr, flush=True)
-    report = run_matrix(
-        matrix, cache_dir=args.cache_dir, workers=args.workers,
-        normalize=args.normalize is not None, progress=progress,
-    )
+    report = run_matrix(matrix, cache_dir=args.cache_dir, workers=args.workers,
+                        progress=progress)
     if args.out:
         atomic_write_text(args.out, report.to_csv_text())
     with _output(args.table) as fh:
@@ -226,8 +220,6 @@ def _workers(text: str) -> int:
 
 
 def _add_runtime_flags(p) -> None:
-    p.add_argument("--normalize", choices=["mean128-std20"], default=None,
-                   help="global gray-level normalization before encoding (default off)")
     p.add_argument("--cache-dir", default=os.environ.get("CLDP_CACHE_DIR"),
                    help="feature cache directory (default $CLDP_CACHE_DIR)")
     p.add_argument("--workers", type=_workers, default=1,

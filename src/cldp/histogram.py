@@ -6,8 +6,9 @@ a joint histogram. 'S_D_M/C' therefore means three blocks: the S histogram,
 the D histogram, and the joint M-by-C histogram, laid out in written order.
 
 Component bin widths are P+2 for S, M and D (the riu2 range) and 2 for C.
-Joint bins are flattened row-major in written order, each group is
-normalized to unit mass, and groups are concatenated.
+Joint bins are flattened row-major in written order, each group's counts
+are divided by its valid-pixel count, so it has unit mass, and groups are
+concatenated.
 """
 
 from __future__ import annotations
@@ -139,9 +140,8 @@ def scheme_dimension(scheme: SchemeExpr, P: int) -> int:
 class FeatureHistogram:
     """A concatenated per-group histogram for one image.
 
-    dims holds each group's length in order; bins is their concatenation.
-    Normalized histograms carry unit mass per group, raw ones carry the
-    valid-pixel count per group.
+    dims holds each group's length in order; bins is their concatenation,
+    each group of unit mass when made by build_histogram.
     """
 
     scheme: SchemeExpr
@@ -183,16 +183,17 @@ class SparseHistogram:
     values: np.ndarray
 
 
-def build_histogram(maps: PatternMaps, scheme: SchemeExpr, normalize: bool = True,
+def build_histogram(maps: PatternMaps, scheme: SchemeExpr,
                     counted: dict | None = None) -> FeatureHistogram:
     """Accumulate the scheme's histogram from pattern maps.
 
-    Every valid pixel contributes exactly one count to each group; requesting
-    D from maps extracted without the derivative is an error. counted, when
-    given, holds the bins of each group already counted on these maps with
-    this normalize, and gains the groups counted here: schemes that share a
-    group count it once, with the same bits, as its bins are the same
-    integer counts over the same total.
+    Every valid pixel contributes exactly one count to each group, and each
+    group is divided by its total, the valid-pixel count; requesting D from
+    maps extracted without the derivative is an error. counted, when given,
+    holds the unit-mass bins of each group already counted on these maps,
+    and gains the groups counted here: schemes that share a group count it
+    once, with the same bits, as its bins are the same integer counts over
+    the same total.
     """
     P = maps.P
     counted = {} if counted is None else counted
@@ -206,24 +207,30 @@ def build_histogram(maps: PatternMaps, scheme: SchemeExpr, normalize: bool = Tru
                     idx *= component_bins(comp, P)
                     idx += maps.component(comp)
             counts = np.bincount(idx.ravel(), minlength=group_dimension(group, P))
-            counts = counts.astype(np.float64)
-            if normalize:
-                counts /= counts.sum()
-            counted[group] = counts
+            counted[group] = counts / counts.sum()
     bins = np.concatenate([counted[group] for group in scheme.groups])
     bins.flags.writeable = False
     dims = tuple(group_dimension(g, P) for g in scheme.groups)
     return FeatureHistogram(scheme=scheme, P=P, R=maps.R, bins=bins, dims=dims)
 
 
+def csv_field(text: str) -> str:
+    """text as one CSV field: unchanged, or in double quotes with each quote
+    doubled (RFC 4180) when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def format_histogram_csv_row(path: str, label: int, hist: FeatureHistogram) -> str:
-    """One CSV line: path,label,scheme,P,R,b_0,...,b_{N-1} at 17 significant digits.
+    """One CSV line: path,label,scheme,P,R,b_0,...,b_{N-1} at 17 significant
+    digits, path quoted by csv_field.
 
     Most bins of a sparse histogram are +0.0, which formats as "0"; only the
     others (including -0.0 and nan) go through the formatter, once per
-    distinct value: a histogram of pixel counts repeats few values.
+    distinct value: pixel counts over one total repeat few values.
     """
-    head = f"{path},{label},{hist.scheme},{hist.P},{hist.R:.17g}"
+    head = f"{csv_field(path)},{label},{hist.scheme},{hist.P},{hist.R:.17g}"
     bins = hist.bins
     cells = ["0"] * bins.size
     nonzero = np.flatnonzero((bins != 0.0) | np.signbit(bins))

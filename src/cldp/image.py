@@ -166,6 +166,8 @@ def parse_bmp8(data: bytes) -> GrayImage:
     height = abs(height)
 
     n_entries = clr_used if clr_used else 256
+    if n_entries > 256:
+        raise FormatError(f"palette of {n_entries} entries; an 8-bit BMP has at most 256")
     pal_off = 14 + hdr_size
     if pal_off + 4 * n_entries > len(data):
         raise FormatError(f"truncated palette at byte {pal_off}")
@@ -212,7 +214,9 @@ def normalize_image(img: GrayImage, mean: float = 128.0, std: float = 20.0) -> G
     """Affinely shift the image to a target mean and standard deviation.
 
     A constant image has no spread to rescale and is returned unchanged.
-    Output stays real-valued; nothing is clipped or requantized.
+    Output stays real-valued; nothing is clipped or requantized. The
+    descriptor does not need it: patterns are taken on the canonical plane,
+    which removes any such map up to rounding.
     """
     mu = float(np.mean(img.pixels))
     sigma = float(np.std(img.pixels))

@@ -261,15 +261,13 @@ def _maps_at(canon: np.ndarray, geom: SamplingGeometry, inner_signs, mapper: Riu
     return maps, sign_codes
 
 
-def extract_maps(img: GrayImage, P: int, R: float,
-                 mapper: Riu2Mapper | None = None) -> PatternMaps:
+def extract_maps(img: GrayImage, P: int, R: float) -> PatternMaps:
     """Extract sign/magnitude/derivative/center maps for the whole image:
     the one-radius case of extract_radii."""
-    return extract_radii(img, P, (R,), mapper)[0]
+    return extract_radii(img, P, (R,))[0]
 
 
-def extract_radii(img: GrayImage, P: int, radii,
-                  mapper: Riu2Mapper | None = None) -> list:
+def extract_radii(img: GrayImage, P: int, radii) -> list:
     """The PatternMaps of img at P and each radius in radii, in order, from
     one canonicalization and one sampling of each circle they need.
 
@@ -280,7 +278,7 @@ def extract_radii(img: GrayImage, P: int, radii,
     R-1 is one of radii too, its outer sign codes cropped by one pixel on
     each side are the sign codes of circle R-1 over R's valid region, bit
     for bit (the same taps minus the same centers), so that circle is
-    sampled once. mapper defaults to one Riu2Mapper per P, shared by every
+    sampled once. The riu2 lookup is one Riu2Mapper per P, shared by every
     call. Every radius must leave a valid center, or ValueError names the
     first that does not.
 
@@ -293,10 +291,7 @@ def extract_radii(img: GrayImage, P: int, radii,
     for R in radii:
         make_geometry(P, R)
     regions = {R: valid_region(img, R) for R in radii}
-    if mapper is None:
-        mapper = _default_mapper(int(P))
-    elif mapper.P != P:
-        raise ValueError(f"mapper P={mapper.P} does not match P={P}")
+    mapper = _default_mapper(int(P))
 
     canon, lo, hi = canonical_intensity(img.pixels)
     c_I = float(np.mean(canon))

@@ -36,18 +36,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# evaluate is not called here; perfbench/tracer.py wraps cldp.suite.evaluate.
+# evaluate and normalize_image are not called here; perfbench/tracer.py wraps
+# cldp.suite.evaluate and cldp.suite.normalize_image.
 from .classifier import EvalReport, ModelSet, evaluate, predict, summarize  # noqa: F401
 from .histogram import (
     FeatureHistogram,
     SchemeExpr,
     build_histogram,
     check_scheme,
+    csv_field,
     histogram_from_bytes,
     histogram_to_bytes,
     parse_scheme,
 )
-from .image import GrayImage, Manifest, load_image, load_manifest, normalize_image, save_pgm
+from .image import GrayImage, Manifest, load_image, load_manifest, normalize_image, save_pgm  # noqa: F401
 from .patterns import PatternMaps, extract_maps, extract_radii, has_derivative
 from .sampler import valid_region
 
@@ -314,15 +316,16 @@ class FeatureCache:
         return os.path.join(self.directory, key[:2], f"{key}.{kind}")
 
     @staticmethod
-    def maps_key(file_hash: str, P: int, R: float, normalized: bool) -> str:
+    def maps_key(file_hash: str, P: int, R: float) -> str:
+        # norm=0 keeps the keys that earlier versions wrote their entries under.
         deriv = int(has_derivative(R))
-        raw = f"{file_hash}|maps|P={P}|R={float(R)!r}|norm={int(normalized)}|deriv={deriv}"
+        raw = f"{file_hash}|maps|P={P}|R={float(R)!r}|norm=0|deriv={deriv}"
         return hashlib.sha256(raw.encode("ascii")).hexdigest()
 
     @staticmethod
-    def hist_key(file_hash: str, P: int, R: float, scheme: SchemeExpr, normalized: bool) -> str:
+    def hist_key(file_hash: str, P: int, R: float, scheme: SchemeExpr) -> str:
         # "hist2": entries carry a digest; older unsealed entries are misses.
-        raw = f"{file_hash}|hist2|P={P}|R={float(R)!r}|scheme={scheme}|norm={int(normalized)}"
+        raw = f"{file_hash}|hist2|P={P}|R={float(R)!r}|scheme={scheme}|norm=0"
         return hashlib.sha256(raw.encode("ascii")).hexdigest()
 
     def _load(self, key: str, kind: str, sample: str, parse):
@@ -382,13 +385,8 @@ def _raised(outcome):
     return outcome
 
 
-def _decoded(abs_path: str, data, normalized: bool) -> GrayImage:
-    img = load_image(abs_path, data)
-    return normalize_image(img) if normalized else img
-
-
 def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache | None,
-                   normalized: bool, data=None, digest=None) -> list:
+                   data=None, digest=None) -> list:
     """Pattern maps of one image at P and each of radii, in order: the cached
     entry where there is one, else made by one extract_radii pass over the
     radii that miss, and stored when a cache is given. The file is decoded
@@ -408,11 +406,11 @@ def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache |
             if isinstance(sample, Exception):
                 return [sample] * len(radii)
             data, digest = sample
-        keys = [cache.maps_key(digest, P, R, normalized) for R in radii]
+        keys = [cache.maps_key(digest, P, R) for R in radii]
         out = [_attempt(rel, lambda: cache.load_maps(key, P, float(R), rel))
                for key, R in zip(keys, radii)]
     todo = [i for i, maps in enumerate(out) if maps is None]
-    img = _attempt(rel, lambda: _decoded(abs_path, data, normalized)) if todo else None
+    img = _attempt(rel, lambda: load_image(abs_path, data)) if todo else None
     if isinstance(img, Exception):
         return [img if maps is None else maps for maps in out]
     for i in todo:
@@ -432,8 +430,7 @@ def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache |
 
 
 def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: float,
-                       cache: FeatureCache | None = None,
-                       normalized: bool = False) -> FeatureHistogram:
+                       cache: FeatureCache | None = None) -> FeatureHistogram:
     """Histogram for one image file, going through the cache when given.
 
     rel is the name used in error messages and cache diagnostics (usually the
@@ -448,11 +445,11 @@ def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: f
     if cache is not None:
         data, digest = _raised(_attempt(rel, lambda: _read_sample(abs_path)))
         if float(R).is_integer():
-            hkey = cache.hist_key(digest, P, R, scheme, normalized)
+            hkey = cache.hist_key(digest, P, R, scheme)
             hist = _raised(_attempt(rel, lambda: cache.load_hist(hkey, scheme, rel)))
             if hist is not None:
                 return hist
-    maps, = _maps_for_file(rel, abs_path, P, (R,), cache, normalized, data, digest)
+    maps, = _maps_for_file(rel, abs_path, P, (R,), cache, data, digest)
     hist = build_histogram(_raised(maps), scheme)
     if hkey is not None:
         _raised(_attempt(rel, lambda: cache.store_hist(hkey, hist)))
@@ -482,8 +479,7 @@ def _histograms(maps, schemes) -> list:
     return [build_histogram(maps, expr, counted=counted) for _, expr in schemes]
 
 
-def _pass(files, P: int, radii, cache: FeatureCache | None, workers: int, normalize: bool,
-          use) -> dict:
+def _pass(files, P: int, radii, cache: FeatureCache | None, workers: int, use) -> dict:
     """{R: [use(R, maps) per file, in order] or the first failure at R, for
     each R of radii}, from one ordered pass over the worker pool.
 
@@ -497,7 +493,7 @@ def _pass(files, P: int, radii, cache: FeatureCache | None, workers: int, normal
 
     def work(entry):
         rel, abs_path, digest = entry
-        all_maps = _maps_for_file(rel, abs_path, P, radii, cache, normalize, digest=digest)
+        all_maps = _maps_for_file(rel, abs_path, P, radii, cache, digest=digest)
         return [maps if isinstance(maps, Exception) else use(R, maps)
                 for R, maps in zip(radii, all_maps)]
 
@@ -516,7 +512,7 @@ def _pass(files, P: int, radii, cache: FeatureCache | None, workers: int, normal
 
 
 def _train(spec: SuiteSpec, schemes, P: int, radii, cache: FeatureCache | None, workers: int,
-           normalize: bool, digests=None) -> dict:
+           digests=None) -> dict:
     """{R: one ModelSet per scheme, or the first failure of the train pass
     at R, for each R of radii}.
 
@@ -525,7 +521,7 @@ def _train(spec: SuiteSpec, schemes, P: int, radii, cache: FeatureCache | None, 
     files' SHA-256s, which key the cache so the files are not hashed again.
     """
     labels = [label for _, label in spec.train.entries]
-    rows = _pass(_files(spec.train, digests), P, radii, cache, workers, normalize,
+    rows = _pass(_files(spec.train, digests), P, radii, cache, workers,
                  lambda R, maps: [h.sparse() for h in _histograms(maps, schemes)])
     for R, got in rows.items():  # a model set holds its own copy of its rows
         if not isinstance(got, Exception):
@@ -534,7 +530,7 @@ def _train(spec: SuiteSpec, schemes, P: int, radii, cache: FeatureCache | None, 
 
 
 def _test(spec: SuiteSpec, schemes, P: int, models: dict, cache: FeatureCache | None,
-          workers: int, normalize: bool) -> dict:
+          workers: int) -> dict:
     """{R: the EvalReport of each scheme at (P, R), or R's failure, for each
     R of models}: models holds _train's outcomes, and schemes are (text,
     SchemeExpr) pairs checked against every (P, R), the text naming the
@@ -545,7 +541,7 @@ def _test(spec: SuiteSpec, schemes, P: int, models: dict, cache: FeatureCache | 
     at once. A radius that failed to train is not tested.
     """
     live = [R for R, m in models.items() if not isinstance(m, Exception)]
-    tested = _pass(_files(spec.test), P, live, cache, workers, normalize,
+    tested = _pass(_files(spec.test), P, live, cache, workers,
                    lambda R, maps: [predict(h, m) for h, m in zip(_histograms(maps, schemes),
                                                                    models[R])])
     truth = [label for _, label in spec.test.entries]
@@ -560,7 +556,7 @@ def _test(spec: SuiteSpec, schemes, P: int, models: dict, cache: FeatureCache | 
 
 
 def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
-              cache_dir=None, workers: int = 1, normalize: bool = False) -> EvalReport:
+              cache_dir=None, workers: int = 1) -> EvalReport:
     """Extract features for one suite and classify its test split.
 
     scheme may be a string (kept verbatim in the report, so CLBP_/CLDP_
@@ -573,8 +569,8 @@ def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
     expr = check_scheme(scheme, P, R)
     cache = FeatureCache(cache_dir) if cache_dir else None
     schemes = [(str(scheme), expr)]
-    models = _train(spec, schemes, P, [float(R)], cache, workers, normalize)
-    reports, = _test(spec, schemes, P, models, cache, workers, normalize).values()
+    models = _train(spec, schemes, P, [float(R)], cache, workers)
+    reports, = _test(spec, schemes, P, models, cache, workers).values()
     return _raised(reports)[0]
 
 
@@ -640,11 +636,12 @@ class MatrixCell:
 
 def cells_csv_text(cells) -> str:
     """The per-cell CSV: a header, then one row per cell, floats at 17
-    significant digits and FAILED for a failed cell's accuracy."""
+    significant digits, FAILED for a failed cell's accuracy, and scheme and
+    suite quoted by csv_field."""
     lines = ["scheme,P,R,suite,accuracy,ties"]
     for c in cells:
         acc = "FAILED" if c.accuracy is None else f"{c.accuracy:.17g}"
-        lines.append(f"{c.scheme},{c.P},{c.R:.17g},{c.suite},{acc},{c.ties}")
+        lines.append(f"{csv_field(c.scheme)},{c.P},{c.R:.17g},{csv_field(c.suite)},{acc},{c.ties}")
     return "\n".join(lines) + "\n"
 
 
@@ -710,7 +707,7 @@ class MatrixReport:
 
 
 def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
-               normalize: bool = False, progress=None) -> MatrixReport:
+               progress=None) -> MatrixReport:
     """Run every cell of the matrix, recording failures instead of aborting.
 
     The geometries are grouped by P, and the work goes P by P and suite by
@@ -750,12 +747,11 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
             try:
                 models = {R: trained.get((split_key, R)) for R in radii}  # None: not shared
                 models.update(_train(spec, schemes, P, [R for R in radii if models[R] is None],
-                                     cache, workers, normalize,
-                                     [d for d, _ in split_key] if split_key else None))
+                                     cache, workers, [d for d, _ in split_key] if split_key else None))
                 if split_key is not None:
                     trained.update(((split_key, R), m) for R, m in models.items()
                                    if not isinstance(m, Exception))
-                got = _test(spec, schemes, P, models, cache, workers, normalize)
+                got = _test(spec, schemes, P, models, cache, workers)
             except Exception as err:  # recorded, surfaced via exit code
                 got = dict.fromkeys(radii, err)
             outcome.update(((P, R, s), reports) for R, reports in got.items())

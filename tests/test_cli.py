@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from cldp import cli
 from cldp.cli import main
 from cldp.suite import _WINDOW_PER_WORKER
 from conftest import gray, random_8bit, traced_peak
+from test_image import make_bmp8
 
 
 def _write_images(tmp_path, count=3, size=32, seed=70):
@@ -54,13 +56,27 @@ def test_extract_missing_file(tmp_path, capsys):
 
 def test_extract_manifest_rows_follow_manifest_order(tmp_path, capsys):
     img_dir, names = _write_images(tmp_path)
+    # The label is after the last comma, so a path may hold one; the row quotes it.
+    (img_dir / names[1]).rename(img_dir / "a,b.pgm")
+    names[1] = "a,b.pgm"
     manifest = tmp_path / "list.csv"
     manifest.write_text("".join(f"{n},{i % 2}\n" for i, n in enumerate(names)))
     assert main(["extract", str(manifest), "--root", str(img_dir),
                  "-P", "8", "-R", "2", "--scheme", "S"]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert [r.split(",")[0] for r in rows] == names
-    assert [r.split(",")[1] for r in rows] == ["0", "1", "0"]
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [r[0] for r in rows] == names
+    assert [r[1] for r in rows] == ["0", "1", "0"]
+    assert [len(r) for r in rows] == [5 + 10] * 3
+
+
+def test_extract_bmp_with_oversized_palette_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    palette = [(i % 256,) * 3 for i in range(300)]
+    (tmp_path / "big.bmp").write_bytes(make_bmp8(4, 4, [[0] * 4] * 4, palette))
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", "big.bmp", "-P", "8", "-R", "1", "--scheme", "S"]) == 2
+    captured = capsys.readouterr()
+    assert "sample big.bmp: palette of 300 entries" in captured.err
+    assert captured.out == ""
 
 
 def test_extract_outex_manifest_with_ras_fallback(tmp_path, capsys):
@@ -475,6 +491,11 @@ def test_usage_errors_exit_1(capsys):
         main(["extract", "x.pgm", "--workers", "-3"])
     assert exc.value.code == 1
     assert "--workers" in capsys.readouterr().err
+    for args in (["extract", "x.pgm"], ["classify", "--config", "x.cfg"], ["bench", "x.matrix"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--normalize", "mean128-std20"])
+        assert exc.value.code == 1
+        assert "--normalize" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -162,10 +163,12 @@ def test_component_order_within_group_permutes_bins():
 def test_raw_histogram_counts_valid_pixels():
     rng = np.random.default_rng(43)
     maps = extract_maps(gray(random_8bit(rng, 20, 20)), 8, 3.0)
-    hist = build_histogram(maps, parse_scheme("S_M/C"), normalize=False)
+    hist = build_histogram(maps, parse_scheme("S_M/C"))
     n = maps.sign.size
     for sl in hist.group_slices():
-        assert hist.bins[sl].sum() == n
+        counts = np.rint(hist.bins[sl] * n)
+        assert np.allclose(hist.bins[sl] * n, counts, rtol=0, atol=1e-9)
+        assert counts.sum() == n
 
 
 def test_normalized_histogram_has_unit_groups():
@@ -179,11 +182,13 @@ def test_normalized_histogram_has_unit_groups():
 def test_csv_row_format():
     maps = extract_maps(gray(np.full((12, 12), 7.0)), 8, 2.0)
     hist = build_histogram(maps, parse_scheme("S"))
-    row = format_histogram_csv_row("img/a.pgm", 3, hist)
-    fields = row.split(",")
-    assert fields[:5] == ["img/a.pgm", "3", "S", "8", "2"]
-    assert len(fields) == 5 + 10
-    assert [float(v) for v in fields[5:]] == hist.bins.tolist()
+    assert format_histogram_csv_row("img/a.pgm", 3, hist).startswith("img/a.pgm,3,S,8,2,")
+    # A path with a comma, a quote or a line break is quoted, RFC 4180.
+    for path in ("img/a.pgm", "a,b.pgm", 'say "x".pgm', "line\nbreak.pgm"):
+        fields, = csv.reader([format_histogram_csv_row(path, 3, hist)])
+        assert fields[:5] == [path, "3", "S", "8", "2"]
+        assert len(fields) == 5 + 10
+        assert [float(v) for v in fields[5:]] == hist.bins.tolist()
 
 
 def test_csv_row_matches_formatting_every_bin():
@@ -246,17 +251,16 @@ def test_shared_group_counts_equal_fresh_ones_bitwise():
     maps = extract_maps(gray(random_8bit(np.random.default_rng(11), 30, 26)), 8, 3.0)
     texts = ("S/M/C", "S/M/D/C", "S_M/C", "S_D_M/C", "S_M/C")
     schemes = [parse_scheme(t) for t in texts]
-    for normalize in (True, False):
-        counted = {}
-        got = [build_histogram(maps, scheme, normalize, counted) for scheme in schemes]
-        assert set(counted) == {("S", "M", "C"), ("S", "M", "D", "C"), ("S",), ("M", "C"), ("D",)}
-        for hist, scheme in zip(got, schemes):
-            want = build_histogram(maps, scheme, normalize)
-            assert hist.scheme == scheme and hist.dims == want.dims
-            assert hist.bins.tobytes() == want.bins.tobytes()
-            sparse = hist.sparse()
-            assert (sparse.scheme, sparse.P, sparse.R, sparse.size) == (scheme, 8, 3.0, hist.bins.size)
-            dense = np.zeros(sparse.size)
-            dense[sparse.indices] = sparse.values
-            assert dense.tobytes() == hist.bins.tobytes()
-            assert np.all(sparse.values != 0.0)
+    counted = {}
+    got = [build_histogram(maps, scheme, counted) for scheme in schemes]
+    assert set(counted) == {("S", "M", "C"), ("S", "M", "D", "C"), ("S",), ("M", "C"), ("D",)}
+    for hist, scheme in zip(got, schemes):
+        want = build_histogram(maps, scheme)
+        assert hist.scheme == scheme and hist.dims == want.dims
+        assert hist.bins.tobytes() == want.bins.tobytes()
+        sparse = hist.sparse()
+        assert (sparse.scheme, sparse.P, sparse.R, sparse.size) == (scheme, 8, 3.0, hist.bins.size)
+        dense = np.zeros(sparse.size)
+        dense[sparse.indices] = sparse.values
+        assert dense.tobytes() == hist.bins.tobytes()
+        assert np.all(sparse.values != 0.0)

@@ -15,6 +15,7 @@ from cldp import (
     normalize_image,
     save_pgm,
 )
+from cldp.image import parse_bmp8
 from conftest import gray
 
 
@@ -122,6 +123,13 @@ def test_load_bmp8_rejects_compression(tmp_path):
     p = write_bytes(tmp_path / "a.bmp", bytes(data))
     with pytest.raises(FormatError, match="compression"):
         load_bmp8(p)
+
+
+def test_parse_bmp8_rejects_palette_over_256_entries():
+    palette = [(i % 256,) * 3 for i in range(256)]
+    assert parse_bmp8(make_bmp8(1, 1, [[255]], palette)).pixels.tolist() == [[255.0]]
+    with pytest.raises(FormatError, match="palette of 300 entries"):
+        parse_bmp8(make_bmp8(4, 4, [[0] * 4] * 4, palette + palette[:44]))
 
 
 def test_load_image_dispatch(tmp_path):

@@ -181,15 +181,6 @@ def test_extract_maps_translation_invariance():
         assert np.array_equal(base.component(comp), shifted.component(comp))
 
 
-def test_extract_maps_mapper_strategies_agree():
-    rng = np.random.default_rng(33)
-    arr = random_8bit(rng, 16, 16)
-    via_lut = extract_maps(gray(arr), 8, 2.0, mapper=Riu2Mapper(8, "lut"))
-    via_direct = extract_maps(gray(arr), 8, 2.0, mapper=Riu2Mapper(8, "direct"))
-    for comp in "SMDC":
-        assert np.array_equal(via_lut.component(comp), via_direct.component(comp))
-
-
 def test_extract_maps_holds_one_difference_stack():
     """Per image, float64 memory is one P x Hv x Wv stack plus O(Hv x Wv):
     the inner circle of D never gets a stack of its own."""
@@ -210,11 +201,6 @@ def test_extract_maps_derivative_gating():
     assert np.all(extract_maps(img, 8, 2.0).component("D") == 0)
     with pytest.raises(ValueError):
         maps.component("Q")
-
-
-def test_extract_maps_rejects_mismatched_mapper():
-    with pytest.raises(ValueError, match="mapper"):
-        extract_maps(gray(np.zeros((10, 10))), 8, 2.0, mapper=Riu2Mapper(16))
 
 
 def test_export_map_pgm(tmp_path):

@@ -1,4 +1,5 @@
 import collections
+import csv
 import hashlib
 import math
 import os
@@ -216,7 +217,7 @@ def test_feature_cache_rejects_flipped_histogram_bit(tmp_path):
     scheme = parse_scheme("S/M")
     hist = build_histogram(extract_maps(gray(random_8bit(rng, 20, 20)), 8, 2.0), scheme)
     cache = FeatureCache(tmp_path / "cache")
-    key = cache.hist_key("f" * 64, 8, 2.0, scheme, False)
+    key = cache.hist_key("f" * 64, 8, 2.0, scheme)
     cache.store_hist(key, hist)
     path = tmp_path / "cache" / key[:2] / f"{key}.hist"
     data = bytearray(path.read_bytes())
@@ -240,7 +241,7 @@ def test_feature_cache_maps_round_trip(tmp_path):
     rng = np.random.default_rng(60)
     maps = extract_maps(gray(random_8bit(rng, 20, 20)), 8, 2.0)
     cache = FeatureCache(tmp_path / "cache")
-    key = cache.maps_key("f" * 64, 8, 2.0, False)
+    key = cache.maps_key("f" * 64, 8, 2.0)
     assert cache.load_maps(key, 8, 2.0, "x.pgm") is None
     cache.store_maps(key, maps)
     back = cache.load_maps(key, 8, 2.0, "x.pgm")
@@ -255,21 +256,21 @@ def test_feature_cache_maps_round_trip(tmp_path):
 def test_feature_cache_keys_separate_variants():
     h = "a" * 64
     keys = {
-        FeatureCache.maps_key(h, 8, 2.0, False),
-        FeatureCache.maps_key(h, 8, 2.0, True),
-        FeatureCache.maps_key(h, 8, 3.0, False),
-        FeatureCache.maps_key(h, 8, 1.0, False),
-        FeatureCache.maps_key(h, 16, 2.0, False),
+        FeatureCache.maps_key(h, 8, 2.0),
+        FeatureCache.maps_key(h, 8, 3.0),
+        FeatureCache.maps_key(h, 8, 1.0),
+        FeatureCache.maps_key(h, 16, 2.0),
     }
-    assert len(keys) == 5
+    assert len(keys) == 4
     # The deriv= field follows from R; these are the keys of existing caches.
-    assert FeatureCache.maps_key(h, 8, 3.0, False) == \
+    assert FeatureCache.maps_key(h, 8, 3.0) == \
         "44fdd4928d897251680d3897949a891f69d54e4f98b723796342ad4d4f85bdc1"
-    assert FeatureCache.maps_key(h, 8, 1.0, False) == \
+    assert FeatureCache.maps_key(h, 8, 1.0) == \
         "ff15b7e2f7b3e6828f7cb5e45367fcf594c79da0baf2072b77f5af7d085b86d2"
+    assert FeatureCache.hist_key(h, 8, 3.0, parse_scheme("S/M/D/C")) == \
+        "ed3922bcb139d9f9828367a433a04376fcf1be360d90561d64ca10967633b439"
     s = parse_scheme("S")
-    assert FeatureCache.hist_key(h, 8, 2.0, s, False) != \
-        FeatureCache.hist_key(h, 8, 2.0, parse_scheme("M"), False)
+    assert FeatureCache.hist_key(h, 8, 2.0, s) != FeatureCache.hist_key(h, 8, 2.0, parse_scheme("M"))
 
 
 def test_cache_key_formats_radius_as_float(tmp_path):
@@ -415,14 +416,17 @@ def test_matrix_report_table_layout(tmp_path):
 
 def test_matrix_report_csv_parses_back(tmp_path):
     base = _tiny_suite(tmp_path)
+    names = ("s1", "TC12, horizon", 'say "t184"')  # quoted, RFC 4180
     matrix = ExperimentMatrix(schemes=("CLBP_S",), geometries=((8, 2.0),),
-                              suites=(_renamed(base, "s1"),))
+                              suites=tuple(_renamed(base, n) for n in names))
     report = run_matrix(matrix)
-    lines = report.to_csv_text().splitlines()
-    fields = lines[1].split(",")
-    assert fields[0] == "CLBP_S"
-    assert (int(fields[1]), float(fields[2]), fields[3]) == (8, 2.0, "s1")
-    assert float(fields[4]) == report.cells[0].accuracy
+    header, *rows = csv.reader(report.to_csv_text().splitlines())
+    assert header == ["scheme", "P", "R", "suite", "accuracy", "ties"]
+    assert [r[3] for r in rows] == [*names, "AVG3"]
+    for fields, cell in zip(rows, report.cells):
+        assert fields[0] == "CLBP_S"
+        assert (int(fields[1]), float(fields[2])) == (8, 2.0)
+        assert float(fields[4]) == cell.accuracy
 
 
 def test_load_matrix_config(tmp_path):
