@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import shutil
@@ -78,6 +79,12 @@ def _output(out):
         sys.stdout.buffer.flush()
 
 
+def _task_histogram(histogram_for_file, scheme, P, R, cache, task):
+    """histogram_for_file of one extract task, (rel, label, abs_path)."""
+    rel, _, abs_path = task
+    return histogram_for_file(rel, abs_path, scheme, P, R, cache)
+
+
 def cmd_extract(args) -> int:
     """Write one histogram per image: a CSV row per manifest entry, in
     manifest order, or the binary form of a single image.
@@ -101,12 +108,11 @@ def cmd_extract(args) -> int:
         tasks = [(args.input, -1, args.input)]
 
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
-    hists = map_ordered(
-        lambda t: histogram_for_file(t[0], t[2], expr, args.P, args.R, cache),
-        tasks,
-        args.workers,
-    )
-    with _output(args.out) as fh:
+    # histogram_for_file is looked up here, so a wrapper put in its place
+    # before the command runs is the one the workers call.
+    work = functools.partial(_task_histogram, histogram_for_file, expr, args.P, args.R, cache)
+    with _output(args.out) as fh, \
+            contextlib.closing(map_ordered(work, tasks, args.workers)) as hists:
         if args.format == "binary":
             fh.write(histogram_to_bytes(next(hists)))
         else:
@@ -223,7 +229,8 @@ def _add_runtime_flags(p) -> None:
     p.add_argument("--cache-dir", default=os.environ.get("CLDP_CACHE_DIR"),
                    help="feature cache directory (default $CLDP_CACHE_DIR)")
     p.add_argument("--workers", type=_workers, default=1,
-                   help="worker threads, >= 0; 0 = one per CPU core (default 1)")
+                   help="worker processes, >= 0; 0 = one per CPU this process may run on"
+                        " (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

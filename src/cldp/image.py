@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -268,11 +269,19 @@ def _resolve_entry(root: str, rel: str, lineno: int, path) -> str:
     raise ManifestError(f"{path}:{lineno}: cannot resolve sample {rel!r} under {root}")
 
 
+# A native-csv line whose path is quoted as histogram.csv_field quotes it
+# (RFC 4180): the path in double quotes, each quote in it doubled.
+_QUOTED_CSV_LINE = re.compile(r'"((?:[^"]|"")*)"\s*,(.*)')
+
+
 def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
     """Parse a sample manifest.
 
     Formats:
-      native-csv   one 'relative/path,label' per line, no header
+      native-csv   one 'relative/path,label' per line, no header; a path
+                   in double quotes is read as an RFC 4180 field, so the
+                   rows 'cldp extract' writes read back, else the label
+                   follows the last comma
       outex-index  optional leading count line, then 'name label' per line
 
     Every accepted line yields exactly one entry, order is preserved, and
@@ -290,7 +299,12 @@ def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
         line = raw.strip()
         if not line:
             continue
-        if fmt == "native-csv":
+        if fmt == "native-csv" and line.startswith('"'):
+            quoted = _QUOTED_CSV_LINE.fullmatch(line)
+            if quoted is None:
+                raise ManifestError(f"{path}:{lineno}: expected '\"path\",label'")
+            rel, label_text = quoted.group(1).replace('""', '"'), quoted.group(2)
+        elif fmt == "native-csv":
             if "," not in line:
                 raise ManifestError(f"{path}:{lineno}: expected 'path,label'")
             rel, _, label_text = line.rpartition(",")

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import hashlib
 import math
 import os
 import re
 import struct
 import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,24 +72,20 @@ class ConfigError(ValueError):
     """A suite or matrix config file cannot be parsed."""
 
 
-_MKDIR_LOCK = threading.Lock()
-
-
 @contextlib.contextmanager
 def atomic_writer(path):
     """A binary file to stream output into; readers never see partial output.
 
     The data goes to a temp file beside path, which replaces path when the
     block exits normally and is deleted when it raises. A parent directory
-    that mkstemp finds missing is made, once however many threads find it.
+    that mkstemp finds missing is made then: when several processes find it
+    missing, one mkdir makes it and the others find it made.
     """
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     except FileNotFoundError:
-        with _MKDIR_LOCK:
-            if not os.path.isdir(directory):
-                os.makedirs(directory, exist_ok=True)  # another process may make it
+        os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -116,30 +111,51 @@ def atomic_write_text(path, text: str) -> None:
 # while results wait to be consumed in order.
 _WINDOW_PER_WORKER = 2
 
+_fn = None  # in a worker process of map_ordered: the fn it maps
+
+
+def _install(fn) -> None:
+    global _fn
+    _fn = fn
+
+
+def _call(item):
+    return _fn(item)
+
 
 def map_ordered(fn, items, workers: int):
-    """Yield fn(item) for every item, in item order, computed on up to
-    workers threads.
+    """Yield fn(item) for every item, in item order, computed in up to
+    workers processes.
 
-    workers None or < 1 means one thread per CPU core. The results are
-    produced lazily: at most _WINDOW_PER_WORKER x workers items are
-    submitted and not yet consumed, so a consumer that keeps only what it
-    needs holds a bounded number of results whatever the number of items.
-    The output is identical for any worker count. The first failing item,
-    in item order, raises, and items past the window are never started.
+    workers None or < 1 means one per CPU this process may run on; one
+    worker runs fn here, with no pool. Otherwise each call starts a
+    ProcessPoolExecutor of the platform's default start method whose
+    initializer hands fn to each worker once, so fn must pickle (under
+    fork it is inherited instead) and each item is sent on its own. The
+    results are produced lazily: at most _WINDOW_PER_WORKER x workers items
+    are submitted and not yet consumed, so a consumer that keeps only what
+    it needs holds a bounded number of results whatever the number of
+    items. The output is identical for any worker count. The first failing
+    item, in item order, raises, and items past the window are never
+    started. No worker process outlives the generator.
     """
     if workers is None or workers < 1:
-        workers = os.cpu_count() or 1
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if workers == 1:
         for item in items:
             yield fn(item)
         return
+    # Imported here: multiprocessing adds about 1 MiB and 15 ms to every
+    # process, and a run with one worker does not need it.
+    from concurrent.futures import ProcessPoolExecutor
+
     window = _WINDOW_PER_WORKER * workers
     pending = collections.deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(workers, initializer=_install, initargs=(fn,)) as pool:
         try:
             for item in items:
-                pending.append(pool.submit(fn, item))
+                pending.append(pool.submit(_call, item))
                 if len(pending) == window:
                     yield pending.popleft().result()
             while pending:
@@ -462,11 +478,16 @@ def _files(manifest, digests=None) -> list:
     return [(rel, manifest.abs_path(rel), d) for (rel, _), d in zip(manifest.entries, digests)]
 
 
+def _file_digest(entry) -> str:
+    """The content SHA-256 of the sample of a _files entry."""
+    return _read_sample(entry[1])[1]
+
+
 def _split_key(manifest, workers: int):
     """The ordered (content SHA-256, label) list of a manifest's samples, or
     None when a sample cannot be read: its run then reports that sample."""
     try:
-        digests = list(map_ordered(lambda e: _read_sample(e[1])[1], _files(manifest), workers))
+        digests = list(map_ordered(_file_digest, _files(manifest), workers))
     except OSError:
         return None
     return tuple(zip(digests, (label for _, label in manifest.entries)))
@@ -479,25 +500,29 @@ def _histograms(maps, schemes) -> list:
     return [build_histogram(maps, expr, counted=counted) for _, expr in schemes]
 
 
+def _pass_item(P: int, radii, cache: FeatureCache | None, use, entry) -> list:
+    """[use(R, maps), or the failure at R, for each R of radii] for one
+    _files entry: one read, one decode and one extract_radii pass on a
+    cache miss (_maps_for_file), then use."""
+    rel, abs_path, digest = entry
+    all_maps = _maps_for_file(rel, abs_path, P, radii, cache, digest=digest)
+    return [maps if isinstance(maps, Exception) else use(R, maps)
+            for R, maps in zip(radii, all_maps)]
+
+
 def _pass(files, P: int, radii, cache: FeatureCache | None, workers: int, use) -> dict:
     """{R: [use(R, maps) per file, in order] or the first failure at R, for
-    each R of radii}, from one ordered pass over the worker pool.
+    each R of radii}, from one map_ordered pass of _pass_item over files.
 
     files are _files entries. One worker call handles one image at every
-    radius: one read, one decode and one extract_radii pass on a cache miss
-    (_maps_for_file), then use. The pass stops early once every radius has
-    failed; the result does not depend on the worker count.
+    radius; use must pickle, as map_ordered's fn does, and so must what it
+    returns. The pass stops early once every radius has failed; the result
+    does not depend on the worker count.
     """
     if not radii:
         return {}
-
-    def work(entry):
-        rel, abs_path, digest = entry
-        all_maps = _maps_for_file(rel, abs_path, P, radii, cache, digest=digest)
-        return [maps if isinstance(maps, Exception) else use(R, maps)
-                for R, maps in zip(radii, all_maps)]
-
     got = {R: [] for R in radii}
+    work = functools.partial(_pass_item, P, radii, cache, use)
     with contextlib.closing(map_ordered(work, files, workers)) as results:
         for outcome in results:
             for R, result in zip(radii, outcome):
@@ -511,6 +536,16 @@ def _pass(files, P: int, radii, cache: FeatureCache | None, workers: int, use) -
     return got
 
 
+def _train_rows(schemes, R: float, maps) -> list:
+    """The nonzero bins of maps' histogram for each scheme."""
+    return [h.sparse() for h in _histograms(maps, schemes)]
+
+
+def _test_outcomes(schemes, models: dict, R: float, maps) -> list:
+    """The (label, tied) of maps' histogram against models[R], per scheme."""
+    return [predict(h, m) for h, m in zip(_histograms(maps, schemes), models[R])]
+
+
 def _train(spec: SuiteSpec, schemes, P: int, radii, cache: FeatureCache | None, workers: int,
            digests=None) -> dict:
     """{R: one ModelSet per scheme, or the first failure of the train pass
@@ -522,7 +557,7 @@ def _train(spec: SuiteSpec, schemes, P: int, radii, cache: FeatureCache | None, 
     """
     labels = [label for _, label in spec.train.entries]
     rows = _pass(_files(spec.train, digests), P, radii, cache, workers,
-                 lambda R, maps: [h.sparse() for h in _histograms(maps, schemes)])
+                 functools.partial(_train_rows, schemes))
     for R, got in rows.items():  # a model set holds its own copy of its rows
         if not isinstance(got, Exception):
             rows[R] = [ModelSet([row[k] for row in got], labels) for k in range(len(schemes))]
@@ -538,12 +573,12 @@ def _test(spec: SuiteSpec, schemes, P: int, models: dict, cache: FeatureCache | 
 
     A worker classifies each histogram at once and returns only (label,
     tied) per scheme and radius, so the test histograms are never all held
-    at once. A radius that failed to train is not tested.
+    at once. The model sets reach each worker once per pass, with the
+    pass's fn. A radius that failed to train is not tested.
     """
-    live = [R for R, m in models.items() if not isinstance(m, Exception)]
-    tested = _pass(_files(spec.test), P, live, cache, workers,
-                   lambda R, maps: [predict(h, m) for h, m in zip(_histograms(maps, schemes),
-                                                                   models[R])])
+    live = {R: m for R, m in models.items() if not isinstance(m, Exception)}
+    tested = _pass(_files(spec.test), P, list(live), cache, workers,
+                   functools.partial(_test_outcomes, schemes, live))
     truth = [label for _, label in spec.test.entries]
     reports = {}
     for R, trained in models.items():
@@ -561,7 +596,8 @@ def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
 
     scheme may be a string (kept verbatim in the report, so CLBP_/CLDP_
     prefixes survive into tables) or a parsed SchemeExpr. workers > 1
-    parallelizes feature extraction and classification; results are reduced
+    parallelizes feature extraction and classification over worker
+    processes (see map_ordered); results are reduced
     in manifest order, so the report is byte-identical for any worker count.
     A bad (scheme, P, R) raises ValueError before any file is touched; the
     first failing sample, train pass first, raises its error.
@@ -720,7 +756,10 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
     same (content SHA-256, label) sequence share a geometry's model sets,
     built by the first of them whose train pass at that geometry succeeds;
     they are dropped when the P is done, and only each (geometry, suite)
-    position's reports or failure are kept. progress gets one line per
+    position's reports or failure are kept. With workers > 1 each pass
+    runs in worker processes of its own, and its fn, which carries the
+    schemes, the cache and a test pass's model sets, must pickle (see
+    map_ordered). progress gets one line per
     (scheme, geometry) before each (P, suite) pass. Cells are listed scheme
     by scheme, then by geometry and suite.
     Aggregate rows are appended per (scheme, geometry): AVG3 when the

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -27,3 +28,36 @@ def traced_peak(fn) -> int:
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+class SharedLog:
+    """Lines that any process may append, read back in the test process.
+
+    Each line is one write to a file opened with O_APPEND, so lines from
+    worker processes never interleave. Only os-level calls touch the file,
+    so a test may patch builtins.open or os.mkdir and still log from them.
+    """
+
+    def __init__(self, path):
+        self.path = os.fspath(path)
+        self.clear()
+
+    def clear(self) -> None:
+        os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC))
+
+    def append(self, line: str) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (line + "\n").encode("utf-8"))
+        finally:
+            os.close(fd)
+
+    def lines(self) -> list:
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return b"".join(chunks).decode("utf-8").splitlines()

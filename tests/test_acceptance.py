@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cldp import (
+    ExperimentMatrix,
     GrayImage,
     ModelSet,
     Riu2Mapper,
@@ -24,6 +25,7 @@ from cldp import (
     extract_maps,
     make_synthetic_suite,
     parse_scheme,
+    run_matrix,
     run_suite,
     scheme_dimension,
 )
@@ -224,7 +226,7 @@ def test_c09_bench_determinism_across_workers(tmp_path):
         return table.read_bytes(), csv_path.read_bytes()
 
     assert run("w1", 1) == run("w8", 8)
-    _ok(9, "bench outputs byte-identical for 1 and 8 worker threads")
+    _ok(9, "bench outputs byte-identical for 1 and 8 workers")
 
 
 @pytest.fixture(scope="module")
@@ -241,12 +243,19 @@ def outex_cache(tmp_path_factory):
     return configured or str(tmp_path_factory.mktemp("outex-cache"))
 
 
-def _suite_average(suites, scheme, P, R, cache_dir):
-    accs = {}
-    for spec in suites:
-        rep = run_suite(spec, scheme, P, R, cache_dir=cache_dir, workers=0)
-        accs[spec.name] = 100.0 * rep.accuracy
-    return sum(accs.values()) / len(accs), accs
+def _suite_averages(suites, schemes, P, R, cache_dir):
+    """{scheme: (mean accuracy over suites in percent, {suite: accuracy})}
+    from one run_matrix at (P, R), which reads each image once."""
+    matrix = ExperimentMatrix(schemes=tuple(schemes), geometries=((P, R),), suites=tuple(suites))
+    report = run_matrix(matrix, cache_dir=cache_dir, workers=0)
+    failed = [f"{c.scheme} {c.suite}: {c.error}" for c in report.cells if c.error is not None]
+    assert not failed, failed
+    averages = {}
+    for scheme in schemes:
+        accs = {c.suite: 100.0 * c.accuracy for c in report.cells
+                if c.scheme == scheme and c.suite in report.suite_names}
+        averages[scheme] = (sum(accs.values()) / len(accs), accs)
+    return averages
 
 
 @pytest.fixture(scope="module")
@@ -257,14 +266,14 @@ def pair_scores_8_2(outex_suites, outex_cache):
         "CLBP_M/C", "CLDP_M/D/C",
         "CLBP_S_M/C", "CLDP_S_D_M/C",
     )
-    return {
-        s: _suite_average(outex_suites, s, 8, 2.0, outex_cache)[0] for s in schemes
-    }
+    averages = _suite_averages(outex_suites, schemes, 8, 2.0, outex_cache)
+    return {s: avg for s, (avg, _) in averages.items()}
 
 
 @needs_outex
 def test_c10_best_scheme_matches_published_accuracy(outex_suites, outex_cache):
-    avg, accs = _suite_average(outex_suites, "CLDP_S/M/D/C", 8, 3.0, outex_cache)
+    avg, accs = _suite_averages(outex_suites, ["CLDP_S/M/D/C"], 8, 3.0,
+                                outex_cache)["CLDP_S/M/D/C"]
     tc10 = accs["TC10"]
     assert abs(avg - 97.14) <= 1.5, f"three-suite average {avg:.2f} vs 97.14"
     assert abs(tc10 - 99.32) <= 1.5, f"TC10 {tc10:.2f} vs 99.32"
@@ -274,7 +283,7 @@ def test_c10_best_scheme_matches_published_accuracy(outex_suites, outex_cache):
 @needs_outex
 def test_c11_clbp_baseline_and_pairwise_ordering(outex_suites, outex_cache,
                                                  pair_scores_8_2):
-    avg, _ = _suite_average(outex_suites, "CLBP_S/M/C", 24, 3.0, outex_cache)
+    avg, _ = _suite_averages(outex_suites, ["CLBP_S/M/C"], 24, 3.0, outex_cache)["CLBP_S/M/C"]
     assert abs(avg - 96.28) <= 1.5, f"three-suite average {avg:.2f} vs 96.28"
     pairs = [
         ("CLBP_S", "CLDP_S/D"),

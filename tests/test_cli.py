@@ -1,13 +1,18 @@
 import csv
 import hashlib
+import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from cldp import (
     histogram_from_bytes,
+    load_manifest,
     make_synthetic_suite,
     parse_scheme,
     save_pgm,
@@ -210,6 +215,86 @@ def test_extract_memory_does_not_grow_with_manifest(tmp_path, workers):
     assert large <= small + slack, (small, large, slack)
 
 
+def _cldp_process(args, start_method=None) -> subprocess.CompletedProcess:
+    """Run the cldp CLI in a fresh interpreter, its stdout and stderr
+    captured; with start_method, multiprocessing is set to it first."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("CLDP_CACHE_DIR", None)
+    code = "import multiprocessing, sys\n"
+    if start_method:
+        code += f"multiprocessing.set_start_method({start_method!r})\n"
+    code += "from cldp.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, timeout=300)
+
+
+def test_extract_stdout_and_out_do_not_depend_on_workers(tmp_path):
+    """Worker processes are forked while the output is open, and each one
+    flushes the standard streams it inherited when it exits: the rows still
+    appear once, on stdout and in --out alike."""
+    img_dir, names = _write_images(tmp_path, count=10, size=24)
+    manifest = tmp_path / "list.csv"
+    manifest.write_text("".join(f"{name},{i % 3}\n" for i, name in enumerate(names)))
+    args = ["extract", str(manifest), "--root", str(img_dir), "-P", "8", "-R", "2"]
+    assert main(args + ["--workers", "1", "--out", str(tmp_path / "w1.csv")]) == 0
+    want = (tmp_path / "w1.csv").read_bytes()
+    assert want.count(b"\n") == 10
+    proc = _cldp_process(args + ["--workers", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+    proc = _cldp_process(args + ["--workers", "3", "--out", str(tmp_path / "w3.csv")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b""
+    assert (tmp_path / "w3.csv").read_bytes() == want
+
+
+def test_extract_first_failing_sample_past_the_window_exits_2(tmp_path, capsys):
+    """Two unreadable samples past the window of 3 workers: the first in
+    manifest order is named, nothing is written, and no worker process is
+    left behind."""
+    img_dir, names = _write_images(tmp_path, count=24, size=24)
+    for i in (14, 20):
+        (img_dir / names[i]).write_bytes(b"not an image")
+    manifest = tmp_path / "list.csv"
+    manifest.write_text("".join(f"{name},0\n" for name in names))
+    out = tmp_path / "out.csv"
+    assert main(["extract", str(manifest), "--root", str(img_dir), "-R", "2",
+                 "--workers", "3", "--out", str(out)]) == 2
+    assert f"sample {names[14]}:" in capsys.readouterr().err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_extract_rows_read_back_as_a_manifest(tmp_path):
+    """A path with a comma or a quote is quoted in extract's rows; the
+    row's first two fields, as a manifest line, name the same sample."""
+    rng = np.random.default_rng(5)
+    img_dir = tmp_path / "images"
+    img_dir.mkdir()
+    names = ["a,b.pgm", 'say "cheese".pgm', "plain.pgm"]
+    for name in names:
+        save_pgm(gray(random_8bit(rng, 24, 24)), img_dir / name)
+    first = tmp_path / "first.csv"
+    first.write_text("".join(f"{name},{i}\n" for i, name in enumerate(names)))
+    rows = tmp_path / "rows.csv"
+    args = ["--root", str(img_dir), "-P", "8", "-R", "2", "--out", str(rows)]
+    assert main(["extract", str(first)] + args) == 0
+    want = rows.read_bytes()
+    assert want.startswith(b'"a,b.pgm",0,')
+    again = tmp_path / "again.csv"
+    with open(again, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            row[:2] for row in csv.reader(io.StringIO(want.decode())))
+    assert again.read_text().splitlines()[1] == '"say ""cheese"".pgm",1'
+    assert (load_manifest(again, img_dir, "native-csv").entries
+            == load_manifest(first, img_dir, "native-csv").entries
+            == tuple((name, i) for i, name in enumerate(names)))
+    assert main(["extract", str(again)] + args) == 0
+    assert rows.read_bytes() == want
+
+
 def test_extract_uses_cache_dir_env(tmp_path, monkeypatch, capsys):
     img = tmp_path / "flat.pgm"
     save_pgm(gray(np.zeros((32, 32))), img)
@@ -324,7 +409,29 @@ def test_bench_outputs_identical_across_workers_and_cache(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     assert run("cold", ["--cache-dir", cache]) == base
     assert run("warm", ["--cache-dir", cache]) == base
+    cache = str(tmp_path / "cache-w2")
+    assert run("w2-cold", ["--workers", "2", "--cache-dir", cache]) == base
+    assert run("w2-warm", ["--workers", "2", "--cache-dir", cache]) == base
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+def test_bench_outputs_do_not_depend_on_start_method(tmp_path, start_method):
+    """Under spawn and forkserver every worker gets its work by pickling:
+    the schemes, the cache and a test pass's model sets. The cells and the
+    table are those of one worker."""
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start_method} start method here")
+    cfg = _matrix_config(tmp_path, geometries="(8,2), (8,3)")
+    args = ["bench", str(cfg), "--quiet"]
+    assert main(args + ["--workers", "1", "--table", str(tmp_path / "w1.table"),
+                        "--out", str(tmp_path / "w1.csv")]) == 0
+    proc = _cldp_process(args + ["--workers", "2", "--cache-dir", str(tmp_path / "cache"),
+                                 "--table", str(tmp_path / "w2.table"),
+                                 "--out", str(tmp_path / "w2.csv")], start_method)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("table", "csv"):
+        assert (tmp_path / f"w2.{name}").read_bytes() == (tmp_path / f"w1.{name}").read_bytes()
 
 
 def test_bench_missing_dataset_exits_2(tmp_path, capsys):

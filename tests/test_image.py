@@ -191,6 +191,25 @@ def test_load_manifest_native_csv(tmp_path):
     assert manifest.labels() == [0, 3]
 
 
+def test_load_manifest_native_csv_unquotes_a_quoted_path(tmp_path):
+    """A quoted path is an RFC 4180 field, as histogram.csv_field writes
+    it; an unquoted line keeps its label after the last comma."""
+    touch_images(tmp_path, ["a,b.pgm", 'q"t.pgm', "c,d.pgm"])
+    m = tmp_path / "m.csv"
+    m.write_text('"a,b.pgm",3\n "q""t.pgm" , 1\nc,d.pgm,2\n')
+    manifest = load_manifest(m, tmp_path, "native-csv")
+    assert manifest.entries == (("a,b.pgm", 3), ('q"t.pgm', 1), ("c,d.pgm", 2))
+
+
+@pytest.mark.parametrize("line", ['"a.pgm,0', '"a.pgm"0', '"a"b.pgm",0'])
+def test_load_manifest_bad_quoted_path_cites_line(tmp_path, line):
+    touch_images(tmp_path, ["a.pgm"])
+    m = tmp_path / "m.csv"
+    m.write_text(f"a.pgm,0\n{line}\n")
+    with pytest.raises(ManifestError, match=":2: expected"):
+        load_manifest(m, tmp_path, "native-csv")
+
+
 def test_load_manifest_outex_index_with_count(tmp_path):
     touch_images(tmp_path, ["x.pgm", "y.pgm"])
     m = tmp_path / "m.txt"

@@ -2,9 +2,9 @@ import collections
 import csv
 import hashlib
 import math
+import multiprocessing
 import os
 import shutil
-import threading
 import time
 
 import numpy as np
@@ -38,7 +38,7 @@ from cldp import suite as suite_module
 from cldp.histogram import _parse_scheme
 from cldp.sampler import OffsetSampler
 from cldp.suite import _WINDOW_PER_WORKER, map_ordered
-from conftest import gray, random_8bit
+from conftest import SharedLog, gray, random_8bit
 
 
 def _tiny_suite(tmp_path, name="tiny", classes=2, samples=2, size=32, seed=3):
@@ -186,8 +186,8 @@ def test_run_suite_rejects_derivative_below_r2(tmp_path):
 def test_run_suite_worker_count_does_not_change_report(tmp_path):
     spec = _tiny_suite(tmp_path, samples=3)
     serial = run_suite(spec, "S/M/C", 8, 2.0)
-    threaded = run_suite(spec, "S/M/C", 8, 2.0, workers=4)
-    assert serial.to_json() == threaded.to_json()
+    parallel = run_suite(spec, "S/M/C", 8, 2.0, workers=4)
+    assert serial.to_json() == parallel.to_json()
 
 
 def test_run_suite_cache_round_trip(tmp_path):
@@ -563,17 +563,17 @@ def test_run_matrix_builds_each_shared_training_split_once(tmp_path, monkeypatch
 def test_run_matrix_does_not_share_a_failed_training_split(tmp_path, monkeypatch):
     """The same corrupt training image in every suite: each suite's own
     train pass reads it, once for both geometries of its P, and fails
-    naming it."""
+    naming it. The worker processes log the loads to a shared file."""
     suites = _shared_train_suites(tmp_path)
     victim = suites[0].train.entries[3][0]
     for spec in suites:
         with open(spec.train.abs_path(victim), "r+b") as fh:
             fh.write(b"XX")
-    loaded = []
+    log = SharedLog(tmp_path / "loads.log")
     real_load_image = suite_module.load_image
 
     def recording_load_image(path, data=None):
-        loaded.append(str(path))
+        log.append(str(path))
         return real_load_image(path, data)
 
     monkeypatch.setattr(suite_module, "load_image", recording_load_image)
@@ -585,7 +585,7 @@ def test_run_matrix_does_not_share_a_failed_training_split(tmp_path, monkeypatch
         if cell.suite != "AVG3":
             assert f"sample {victim}: not a P5 PGM" in cell.error
     victims = [spec.train.abs_path(victim) for spec in suites]
-    assert sorted(p for p in loaded if p in victims) == sorted(victims)
+    assert sorted(p for p in log.lines() if p in victims) == sorted(victims)
 
 
 def test_run_matrix_missing_test_image_fails_only_its_suite(tmp_path):
@@ -657,17 +657,17 @@ def test_run_matrix_hashes_each_training_sample_once(tmp_path, monkeypatch, work
                 path = manifest.abs_path(rel)
                 with open(path, "rb") as fh:
                     kind[path] = kind[fh.read()] = split
-    counts = collections.Counter()
+    log = SharedLog(tmp_path / "calls.log")  # "open train", "sha256 test", ... from any process
     real_open, real_sha256 = open, hashlib.sha256
 
     def counting_open(file, *args, **kwargs):
         if str(file) in kind:
-            counts["open", kind[str(file)]] += 1
+            log.append(f"open {kind[str(file)]}")
         return real_open(file, *args, **kwargs)
 
     def counting_sha256(data=b"", **kwargs):
         if isinstance(data, bytes) and data in kind:
-            counts["sha256", kind[data]] += 1
+            log.append(f"sha256 {kind[data]}")
         return real_sha256(data, **kwargs)
 
     monkeypatch.setattr("builtins.open", counting_open)
@@ -685,8 +685,8 @@ def test_run_matrix_hashes_each_training_sample_once(tmp_path, monkeypatch, work
                      ("sha256", "test"): test, ("open", "test"): test}),
     ):
         assert not run_matrix(matrix, cache_dir=run_cache, workers=workers).failed
-        assert counts == want
-        counts.clear()
+        assert collections.Counter(tuple(line.split()) for line in log.lines()) == want
+        log.clear()
 
 
 def _tree(top):
@@ -762,13 +762,14 @@ def test_training_image_failing_at_r3_leaves_r2_models_shared(tmp_path, monkeypa
 def test_run_matrix_samples_three_circles_per_image(tmp_path, monkeypatch):
     """(8,2) and (8,3) sample the circles of radii 1, 2 and 3 once per
     decoded image, where one geometry at a time sampled four. The shared
-    training split is decoded once."""
+    training split is decoded once. The worker processes log the samplers
+    they make to a shared file."""
     suites = _shared_train_suites(tmp_path)
-    made = []
+    log = SharedLog(tmp_path / "samplers.log")
     real_init = OffsetSampler.__init__
 
     def counting_init(self, pixels, margin):
-        made.append(margin)
+        log.append(str(margin))
         real_init(self, pixels, margin)
 
     monkeypatch.setattr(OffsetSampler, "__init__", counting_init)
@@ -777,8 +778,8 @@ def test_run_matrix_samples_three_circles_per_image(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
     for run_cache, want in ((None, 3 * images), (cache_dir, 3 * images), (cache_dir, 0)):
         assert not run_matrix(matrix, cache_dir=run_cache, workers=3).failed
-        assert len(made) == want
-        made.clear()
+        assert len(log.lines()) == want
+        log.clear()
 
 
 def test_extraction_error_fails_only_the_radii_it_was_extracting(tmp_path, monkeypatch):
@@ -833,13 +834,16 @@ def test_suites_sharing_a_name_keep_their_own_rows(tmp_path):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_feature_cache_makes_each_subdirectory_once(tmp_path, monkeypatch, workers):
     """A cold run makes the cache root and each <key[:2]> subdirectory it
-    stores into, each once; --out style writes still make a missing parent."""
-    made = []
+    stores into, each once; --out style writes still make a missing parent.
+    Worker processes may race to make a subdirectory: the mkdir calls that
+    lose raise FileExistsError and make nothing, so only the calls that
+    made a directory are logged."""
+    log = SharedLog(tmp_path / "mkdir.log")
     real_mkdir = os.mkdir
 
     def counting_mkdir(path, *args, **kwargs):
-        made.append(os.fspath(path))
-        return real_mkdir(path, *args, **kwargs)
+        real_mkdir(path, *args, **kwargs)
+        log.append(os.fspath(path))
 
     suites = _shared_train_suites(tmp_path)
     monkeypatch.setattr(os, "mkdir", counting_mkdir)
@@ -848,47 +852,78 @@ def test_feature_cache_makes_each_subdirectory_once(tmp_path, monkeypatch, worke
     assert not run_matrix(matrix, cache_dir=cache_dir, workers=workers).failed
     prefixes = [p for p in cache_dir.iterdir() if p.is_dir()]
     assert len(list(cache_dir.rglob("*.maps"))) == 72 * 2 > len(prefixes)
-    assert sorted(made) == sorted([str(cache_dir)] + [str(p) for p in prefixes])
-    made.clear()
+    assert sorted(log.lines()) == sorted([str(cache_dir)] + [str(p) for p in prefixes])
+    log.clear()
     atomic_write_text(tmp_path / "new" / "out.csv", "x\n")
     assert (tmp_path / "new" / "out.csv").read_text() == "x\n"
-    assert made == [str(tmp_path / "new")]
+    assert log.lines() == [str(tmp_path / "new")]
+
+
+def test_map_ordered_leaves_no_worker_process():
+    """The pool of worker processes is gone when map_ordered finishes, when
+    an item past the window fails, and when the consumer closes it early."""
+
+    def fn(i):
+        if i == 30:
+            raise ValueError("item 30")
+        return i
+
+    assert list(map_ordered(fn, range(12), 3)) == list(range(12))
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="item 30"):
+        list(map_ordered(fn, range(100), 3))
+    assert multiprocessing.active_children() == []
+    results = map_ordered(fn, range(100), 3)
+    assert next(results) == 0
+    assert len(multiprocessing.active_children()) == 3
+    results.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_map_ordered_zero_workers_means_one_per_usable_cpu(monkeypatch):
+    """workers=0 counts the CPUs this process may run on, not the CPUs of
+    the machine: with one, the items run here, without a pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert list(map_ordered(lambda i: os.getpid(), range(4), 0)) == [os.getpid()] * 4
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert list(map_ordered(lambda i: os.getpid(), range(4), 0)) == [os.getpid()] * 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert os.getpid() not in map_ordered(lambda i: os.getpid(), range(4), 0)
 
 
 def test_map_ordered_keeps_a_bounded_window():
-    """Submitted but unconsumed items never exceed the window, even when the
-    consumer is slower than the workers."""
+    """Started but unconsumed items never exceed the window, even when the
+    consumer is slower than the workers, and the window fills. The counts
+    live in shared memory that the worker processes inherit."""
     for workers in (1, 3):
         window = _WINDOW_PER_WORKER * workers
-        lock = threading.Lock()
-        started = consumed = most = 0
+        counts = multiprocessing.Array("i", 3)  # started, consumed, most
 
         def square(i):
-            nonlocal started, most
-            with lock:
-                started += 1
-                most = max(most, started - consumed)
+            with counts.get_lock():
+                counts[0] += 1
+                counts[2] = max(counts[2], counts[0] - counts[1])
             return i * i
 
         got = []
         for value in map_ordered(square, range(40), workers):
             time.sleep(0.001)
             got.append(value)
-            with lock:
-                consumed += 1
+            with counts.get_lock():
+                counts[1] += 1
         assert got == [i * i for i in range(40)]
-        assert most <= window
+        assert 1 <= counts[2] <= window
 
 
-def test_map_ordered_raises_first_failure_without_starting_past_window():
+def test_map_ordered_raises_first_failure_without_starting_past_window(tmp_path):
     workers = 3
     window = _WINDOW_PER_WORKER * workers
-    lock = threading.Lock()
-    started = set()
+    log = SharedLog(tmp_path / "started.log")
 
     def fn(i):
-        with lock:
-            started.add(i)
+        log.append(str(i))
         if i == 5:
             time.sleep(0.05)  # item 6 fails first in time, 5 first in order
             raise ValueError("item 5")
@@ -901,4 +936,5 @@ def test_map_ordered_raises_first_failure_without_starting_past_window():
         for value in map_ordered(fn, range(100), workers):
             got.append(value)
     assert got == [0, 1, 2, 3, 4]
-    assert max(started) < 5 + window
+    started = {int(line) for line in log.lines()}
+    assert started >= set(range(6)) and max(started) < 5 + window
