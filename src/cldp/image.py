@@ -275,7 +275,7 @@ _QUOTED_CSV_LINE = re.compile(r'"((?:[^"]|"")*)"\s*,(.*)')
 
 
 def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
-    """Parse a sample manifest.
+    """Parse a sample manifest, UTF-8 text as 'cldp extract' rows are.
 
     Formats:
       native-csv   one 'relative/path,label' per line, no header; a path
@@ -293,8 +293,13 @@ def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
     root = str(root)
     entries = []
     declared = None
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        lineno = len((data[:err.start].decode("utf-8") + ".").splitlines())
+        raise ManifestError(f"{path}:{lineno}: not UTF-8: {err.reason}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:

@@ -124,12 +124,12 @@ def _call(item):
 
 
 def map_ordered(fn, items, workers: int):
-    """Yield fn(item) for every item, in item order, computed in up to
-    workers processes.
+    """Yield fn(item) for every item of the sequence items, in item order,
+    computed in up to workers processes, and never more than one per item.
 
     workers None or < 1 means one per CPU this process may run on; one
-    worker runs fn here, with no pool. Otherwise each call starts a
-    ProcessPoolExecutor of the platform's default start method whose
+    worker, or one item, runs fn here, with no pool. Otherwise each call
+    starts a ProcessPoolExecutor of the platform's default start method whose
     initializer hands fn to each worker once, so fn must pickle (under
     fork it is inherited instead) and each item is sent on its own. The
     results are produced lazily: at most _WINDOW_PER_WORKER x workers items
@@ -142,7 +142,8 @@ def map_ordered(fn, items, workers: int):
     if workers is None or workers < 1:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    if workers == 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         for item in items:
             yield fn(item)
         return
@@ -289,9 +290,10 @@ def _maps_to_bytes(maps: PatternMaps) -> bytes:
 def _maps_from_bytes(payload: bytes, P: int, R: float) -> PatternMaps:
     if payload[: len(_MAPS_MAGIC)] != _MAPS_MAGIC:
         raise CacheError("bad maps magic")
-    off = len(_MAPS_MAGIC)
-    fields = struct.unpack_from("<IdB4I4dII", payload, off)
-    off += struct.calcsize("<IdB4I4dII")
+    off = len(_MAPS_MAGIC) + struct.calcsize("<IdB4I4dII")
+    if len(payload) < off:
+        raise CacheError("truncated maps header")
+    fields = struct.unpack_from("<IdB4I4dII", payload, len(_MAPS_MAGIC))
     (got_p, got_r, flags, x0, y0, x1, y1, c_m, c_I, lo, hi, h, w) = fields
     if got_p != P or got_r != R:
         raise CacheError(f"maps entry is for P={got_p}, R={got_r}")
@@ -546,67 +548,90 @@ def _test_outcomes(schemes, models: dict, R: float, maps) -> list:
     return [predict(h, m) for h, m in zip(_histograms(maps, schemes), models[R])]
 
 
-def _train(spec: SuiteSpec, schemes, P: int, radii, cache: FeatureCache | None, workers: int,
-           digests=None) -> dict:
-    """{R: one ModelSet per scheme, or the first failure of the train pass
-    at R, for each R of radii}.
+def _run(suites, schemes, geometries, cache: FeatureCache | None, workers: int,
+         progress=None) -> dict:
+    """{(P, R, suite position): one EvalReport per scheme, or the failure,
+    for each (P, R) of geometries and each suite}: the one runner of suite
+    runs. schemes are (text, SchemeExpr) pairs checked against every
+    geometry, the text naming the scheme in its reports.
 
-    A worker returns only the histograms' nonzero bins, and the model sets
-    are built one radius at a time. digests, when given, are the training
-    files' SHA-256s, which key the cache so the files are not hashed again.
+    The geometries are grouped by P, and the work goes P by P and suite by
+    suite, a train pass then a test pass over every radius of the P and all
+    schemes at once (_pass). So each image is read once per (P, suite)
+    pass, and where its maps are not cached it is decoded once and each
+    circle it needs is sampled once. A failure fails its (geometry, suite)
+    and no other, with the error of that geometry's first failing sample in
+    manifest order, the train pass first; a radius that failed to train is
+    not tested.
+
+    Suites whose training splits hold the same (content SHA-256, label)
+    sequence share a geometry's model sets, built by the first of them
+    whose train pass at that geometry succeeds; they are dropped when the
+    P is done. Only a suite whose training label sequence another suite
+    repeats is hashed to find its split, since splits with different
+    labels never match; those digests then key the cache, so no training
+    file is hashed twice. With workers > 1 each pass runs in worker
+    processes of its own (see map_ordered), and its fn, which carries the
+    schemes, the cache and a test pass's model sets, must pickle. A train
+    worker returns a training image's nonzero bins per scheme and radius,
+    and a test worker the (label, tied) of a test image per scheme and
+    radius, so no pass holds all its histograms at once. progress gets one
+    line per (scheme, geometry) before each (P, suite) pass.
     """
-    labels = [label for _, label in spec.train.entries]
-    rows = _pass(_files(spec.train, digests), P, radii, cache, workers,
-                 functools.partial(_train_rows, schemes))
-    for R, got in rows.items():  # a model set holds its own copy of its rows
-        if not isinstance(got, Exception):
-            rows[R] = [ModelSet([row[k] for row in got], labels) for k in range(len(schemes))]
-    return rows
-
-
-def _test(spec: SuiteSpec, schemes, P: int, models: dict, cache: FeatureCache | None,
-          workers: int) -> dict:
-    """{R: the EvalReport of each scheme at (P, R), or R's failure, for each
-    R of models}: models holds _train's outcomes, and schemes are (text,
-    SchemeExpr) pairs checked against every (P, R), the text naming the
-    scheme in its report.
-
-    A worker classifies each histogram at once and returns only (label,
-    tied) per scheme and radius, so the test histograms are never all held
-    at once. The model sets reach each worker once per pass, with the
-    pass's fn. A radius that failed to train is not tested.
-    """
-    live = {R: m for R, m in models.items() if not isinstance(m, Exception)}
-    tested = _pass(_files(spec.test), P, list(live), cache, workers,
-                   functools.partial(_test_outcomes, schemes, live))
-    truth = [label for _, label in spec.test.entries]
-    reports = {}
-    for R, trained in models.items():
-        got = tested.get(R, trained)
-        if not isinstance(got, Exception):
-            got = [summarize(truth, [o[k] for o in got], m, suite=spec.name, scheme=text)
-                   for k, ((text, _), m) in enumerate(zip(schemes, trained))]
-        reports[R] = got
-    return reports
+    sequences = [[label for _, label in spec.train.entries] for spec in suites]
+    split_keys = [_split_key(spec.train, workers) if sequences.count(seq) > 1 else None
+                  for spec, seq in zip(suites, sequences)]
+    radii_of = {}  # P: its distinct radii, in geometry order, as the keys of a dict
+    for P, R in geometries:
+        radii_of.setdefault(P, {})[float(R)] = None
+    outcome = {}
+    for P, radii in radii_of.items():
+        shared = {}  # this P's model sets of repeated training splits, by (split, R)
+        for s, (spec, split_key, labels) in enumerate(zip(suites, split_keys, sequences)):
+            if progress:
+                for R in radii:
+                    for text, _ in schemes:
+                        progress(f"{text} ({P},{R:g}) {spec.name}")
+            try:
+                models = {R: shared.get((split_key, R)) for R in radii}  # None: to train
+                rows = _pass(_files(spec.train, split_key and [d for d, _ in split_key]), P,
+                             [R for R in radii if models[R] is None], cache, workers,
+                             functools.partial(_train_rows, schemes))
+                for R, got in rows.items():  # a model set holds its own copy of its rows
+                    if not isinstance(got, Exception):
+                        got = [ModelSet([row[k] for row in got], labels) for k in range(len(schemes))]
+                        if split_key:
+                            shared[split_key, R] = got
+                    models[R] = got
+                live = {R: m for R, m in models.items() if not isinstance(m, Exception)}
+                tested = _pass(_files(spec.test), P, list(live), cache, workers,
+                               functools.partial(_test_outcomes, schemes, live))
+                truth = [label for _, label in spec.test.entries]
+                for R, sets in models.items():
+                    got = tested.get(R, sets)
+                    outcome[P, R, s] = got if isinstance(got, Exception) else [
+                        summarize(truth, [o[k] for o in got], m, suite=spec.name, scheme=text)
+                        for k, ((text, _), m) in enumerate(zip(schemes, sets))]
+            except Exception as err:  # recorded; run_suite raises it, run_matrix reports it
+                outcome.update(((P, R, s), err) for R in radii)
+    return outcome
 
 
 def run_suite(spec: SuiteSpec, scheme: str | SchemeExpr, P: int, R: float,
               cache_dir=None, workers: int = 1) -> EvalReport:
-    """Extract features for one suite and classify its test split.
+    """Extract features for one suite and classify its test split: the
+    one-cell case of _run, which states what a run shares and reads.
 
     scheme may be a string (kept verbatim in the report, so CLBP_/CLDP_
-    prefixes survive into tables) or a parsed SchemeExpr. workers > 1
-    parallelizes feature extraction and classification over worker
-    processes (see map_ordered); results are reduced
-    in manifest order, so the report is byte-identical for any worker count.
-    A bad (scheme, P, R) raises ValueError before any file is touched; the
-    first failing sample, train pass first, raises its error.
+    prefixes survive into tables) or a parsed SchemeExpr. The report is
+    byte-identical for any worker count. A bad (scheme, P, R) raises
+    ValueError before any file is touched; otherwise the error that
+    run_matrix records for this cell is raised: the first failing sample,
+    train pass first.
     """
     expr = check_scheme(scheme, P, R)
     cache = FeatureCache(cache_dir) if cache_dir else None
-    schemes = [(str(scheme), expr)]
-    models = _train(spec, schemes, P, [float(R)], cache, workers)
-    reports, = _test(spec, schemes, P, models, cache, workers).values()
+    reports, = _run((spec,), [(str(scheme), expr)], [(P, R)], cache, workers).values()
     return _raised(reports)[0]
 
 
@@ -744,24 +769,10 @@ class MatrixReport:
 
 def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
                progress=None) -> MatrixReport:
-    """Run every cell of the matrix, recording failures instead of aborting.
+    """Run every cell of the matrix with _run, recording failures instead of
+    aborting: a failure fails every scheme's cell of its (geometry, suite).
 
-    The geometries are grouped by P, and the work goes P by P and suite by
-    suite, a train pass then a test pass over every radius of the P and
-    all schemes at once. So each image is read once per (P, suite) pass,
-    and where its maps are not cached it is decoded once and each circle it
-    needs is sampled once. A failure fails every scheme's cell of its
-    (geometry, suite) and no other, with the error of that geometry's first
-    failing sample in manifest order. Suites whose training splits hold the
-    same (content SHA-256, label) sequence share a geometry's model sets,
-    built by the first of them whose train pass at that geometry succeeds;
-    they are dropped when the P is done, and only each (geometry, suite)
-    position's reports or failure are kept. With workers > 1 each pass
-    runs in worker processes of its own, and its fn, which carries the
-    schemes, the cache and a test pass's model sets, must pickle (see
-    map_ordered). progress gets one line per
-    (scheme, geometry) before each (P, suite) pass. Cells are listed scheme
-    by scheme, then by geometry and suite.
+    Cells are listed scheme by scheme, then by geometry and suite.
     Aggregate rows are appended per (scheme, geometry): AVG3 when the
     matrix has exactly three suites, AVG2-TC12 when exactly two suite
     names contain 'TC12'. Both are plain means of the per-suite accuracies,
@@ -771,29 +782,7 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
     suite_names = tuple(s.name for s in matrix.suites)
     tc12 = [n for n in suite_names if "TC12" in n.upper()]
     schemes = [(text, parse_scheme(text)) for text in matrix.schemes]
-    split_keys = [_split_key(spec.train, workers) for spec in matrix.suites]
-    radii_of = {}  # P: its distinct radii, in matrix order, as the keys of a dict
-    for P, R in matrix.geometries:
-        radii_of.setdefault(P, {})[float(R)] = None
-    outcome = {}  # (P, R, suite position): one EvalReport per scheme, or the failure
-    for P, radii in radii_of.items():
-        trained = {}  # this P's model sets, by (training split, R)
-        for s, (spec, split_key) in enumerate(zip(matrix.suites, split_keys)):
-            if progress:
-                for R in radii:
-                    for scheme in matrix.schemes:
-                        progress(f"{scheme} ({P},{R:g}) {spec.name}")
-            try:
-                models = {R: trained.get((split_key, R)) for R in radii}  # None: not shared
-                models.update(_train(spec, schemes, P, [R for R in radii if models[R] is None],
-                                     cache, workers, [d for d, _ in split_key] if split_key else None))
-                if split_key is not None:
-                    trained.update(((split_key, R), m) for R, m in models.items()
-                                   if not isinstance(m, Exception))
-                got = _test(spec, schemes, P, models, cache, workers)
-            except Exception as err:  # recorded, surfaced via exit code
-                got = dict.fromkeys(radii, err)
-            outcome.update(((P, R, s), reports) for R, reports in got.items())
+    outcome = _run(matrix.suites, schemes, matrix.geometries, cache, workers, progress)
 
     cells = []
     for k, scheme in enumerate(matrix.schemes):

@@ -19,7 +19,7 @@ from cldp import (
 )
 from cldp import cli
 from cldp.cli import main
-from cldp.suite import _WINDOW_PER_WORKER
+from cldp.suite import _MAPS_MAGIC, _WINDOW_PER_WORKER, FeatureCache, _seal
 from conftest import gray, random_8bit, traced_peak
 from test_image import make_bmp8
 
@@ -268,31 +268,49 @@ def test_extract_first_failing_sample_past_the_window_exits_2(tmp_path, capsys):
 
 
 def test_extract_rows_read_back_as_a_manifest(tmp_path):
-    """A path with a comma or a quote is quoted in extract's rows; the
-    row's first two fields, as a manifest line, name the same sample."""
+    """A path with a comma or a quote is quoted in extract's rows, which are
+    UTF-8 as manifests are; the row's first two fields, as a manifest line,
+    name the same sample."""
     rng = np.random.default_rng(5)
     img_dir = tmp_path / "images"
     img_dir.mkdir()
-    names = ["a,b.pgm", 'say "cheese".pgm', "plain.pgm"]
+    names = ["a,b.pgm", 'say "cheese".pgm', "plain.pgm", "\u00e9.pgm"]
     for name in names:
         save_pgm(gray(random_8bit(rng, 24, 24)), img_dir / name)
     first = tmp_path / "first.csv"
-    first.write_text("".join(f"{name},{i}\n" for i, name in enumerate(names)))
+    first.write_text("".join(f"{name},{i}\n" for i, name in enumerate(names)), encoding="utf-8")
     rows = tmp_path / "rows.csv"
     args = ["--root", str(img_dir), "-P", "8", "-R", "2", "--out", str(rows)]
     assert main(["extract", str(first)] + args) == 0
     want = rows.read_bytes()
     assert want.startswith(b'"a,b.pgm",0,')
     again = tmp_path / "again.csv"
-    with open(again, "w", newline="") as fh:
+    with open(again, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(
             row[:2] for row in csv.reader(io.StringIO(want.decode())))
-    assert again.read_text().splitlines()[1] == '"say ""cheese"".pgm",1'
+    assert again.read_text(encoding="utf-8").splitlines()[1:] == [
+        '"say ""cheese"".pgm",1', "plain.pgm,2", "\u00e9.pgm,3"]
     assert (load_manifest(again, img_dir, "native-csv").entries
             == load_manifest(first, img_dir, "native-csv").entries
             == tuple((name, i) for i, name in enumerate(names)))
     assert main(["extract", str(again)] + args) == 0
     assert rows.read_bytes() == want
+
+
+def test_extract_truncated_maps_entry_exits_2_naming_the_sample(tmp_path, capsys):
+    """A sealed .maps entry too short for its header is a corrupt cache
+    entry of its sample, not a crash."""
+    img = tmp_path / "flat.pgm"
+    save_pgm(gray(np.zeros((32, 32))), img)
+    cache = FeatureCache(tmp_path / "cache")
+    key = cache.maps_key(hashlib.sha256(img.read_bytes()).hexdigest(), 8, 2.0)
+    path = tmp_path / "cache" / key[:2] / f"{key}.maps"
+    path.parent.mkdir()
+    path.write_bytes(_seal(_MAPS_MAGIC + b"short"))
+    rc = main(["extract", str(img), "-P", "8", "-R", "2", "--cache-dir", str(tmp_path / "cache")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"corrupt cache entry for sample {img}: truncated maps header" in err
 
 
 def test_extract_uses_cache_dir_env(tmp_path, monkeypatch, capsys):

@@ -210,6 +210,18 @@ def test_load_manifest_bad_quoted_path_cites_line(tmp_path, line):
         load_manifest(m, tmp_path, "native-csv")
 
 
+def test_load_manifest_reads_utf8_and_cites_the_line_of_other_bytes(tmp_path):
+    touch_images(tmp_path, ["\u00e9.pgm", "a.pgm"])
+    m = tmp_path / "m.csv"
+    m.write_bytes("a.pgm,0\n\u00e9.pgm,1\n".encode("utf-8"))
+    assert load_manifest(m, tmp_path, "native-csv").entries == (("a.pgm", 0), ("\u00e9.pgm", 1))
+    for data, line in ((b"a.pgm,0\n\xe9.pgm,1\n", 2), (b"\xff,0\r\na.pgm,1\n", 1),
+                       (b"a.pgm,0\r\rb\xc3.pgm,1\n", 3)):
+        m.write_bytes(data)
+        with pytest.raises(ManifestError, match=f"^{m}:{line}: not UTF-8"):
+            load_manifest(m, tmp_path, "native-csv")
+
+
 def test_load_manifest_outex_index_with_count(tmp_path):
     touch_images(tmp_path, ["x.pgm", "y.pgm"])
     m = tmp_path / "m.txt"

@@ -689,6 +689,71 @@ def test_run_matrix_hashes_each_training_sample_once(tmp_path, monkeypatch, work
         log.clear()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_matrix_does_not_hash_a_training_split_no_other_suite_repeats(
+        tmp_path, monkeypatch, workers):
+    """Two suites with different training label sequences cannot share a
+    split: each training file is opened only to be decoded, once per P,
+    and hashed only to key a cache, in the same read."""
+    suites = (_tiny_suite(tmp_path, name="a", classes=2, samples=3, size=20),
+              _tiny_suite(tmp_path, name="b", classes=3, samples=2, size=20, seed=4))
+    kind = {}
+    for spec in suites:
+        for split, manifest in (("train", spec.train), ("test", spec.test)):
+            for rel, _ in manifest.entries:
+                path = manifest.abs_path(rel)
+                with open(path, "rb") as fh:
+                    kind[path] = kind[fh.read()] = split
+    log = SharedLog(tmp_path / "calls.log")
+    real_open, real_sha256 = open, hashlib.sha256
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) in kind:
+            log.append(f"open {kind[str(file)]}")
+        return real_open(file, *args, **kwargs)
+
+    def counting_sha256(data=b"", **kwargs):
+        if isinstance(data, bytes) and data in kind:
+            log.append(f"sha256 {kind[data]}")
+        return real_sha256(data, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    matrix = ExperimentMatrix(schemes=_FUSED_SCHEMES, geometries=((8, 2.0), (16, 2.0)),
+                              suites=suites)
+    files = 2 * (6 + 6)  # per split: two P, six files per suite
+    cache_dir = tmp_path / "cache"
+    for run_cache, want in (
+        (None, {("open", "train"): files, ("open", "test"): files}),
+        (cache_dir, {("open", "train"): files, ("sha256", "train"): files,
+                     ("open", "test"): files, ("sha256", "test"): files}),
+    ):
+        assert not run_matrix(matrix, cache_dir=run_cache, workers=workers).failed
+        assert collections.Counter(tuple(line.split()) for line in log.lines()) == want
+        log.clear()
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_run_suite_raises_the_error_run_matrix_records(tmp_path, split):
+    """run_suite is run_matrix's one-cell case: a corrupt training image or
+    a missing test image fails both with the same message."""
+    spec = _tiny_suite(tmp_path)
+    manifest = spec.train if split == "train" else spec.test
+    victim = manifest.entries[1][0]
+    if split == "train":
+        with open(manifest.abs_path(victim), "r+b") as fh:
+            fh.write(b"XX")
+    else:
+        os.unlink(manifest.abs_path(victim))
+    matrix = ExperimentMatrix(schemes=("S/M",), geometries=((8, 2.0),), suites=(spec,))
+    for workers in (1, 2):
+        cell, = run_matrix(matrix, workers=workers).cells
+        with pytest.raises(SuiteError) as raised:
+            run_suite(spec, "S/M", 8, 2.0, workers=workers)
+        assert cell.error == str(raised.value)
+        assert cell.error.startswith(f"sample {victim}: ")
+
+
 def _tree(top):
     """{relative path: bytes} of every file under top."""
     return {str(path.relative_to(top)): path.read_bytes()
@@ -878,6 +943,18 @@ def test_map_ordered_leaves_no_worker_process():
     assert len(multiprocessing.active_children()) == 3
     results.close()
     assert multiprocessing.active_children() == []
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def test_map_ordered_starts_at_most_one_process_per_item():
+    assert list(map_ordered(_pid, [0], 4)) == [os.getpid()]
+    results = map_ordered(_pid, [0, 1], 4)
+    assert next(results) != os.getpid()
+    assert 1 <= len(multiprocessing.active_children()) <= 2
+    results.close()
 
 
 def test_map_ordered_zero_workers_means_one_per_usable_cpu(monkeypatch):
