@@ -272,6 +272,7 @@ def _resolve_entry(root: str, rel: str, lineno: int, path) -> str:
 # A native-csv line whose path is quoted as histogram.csv_field quotes it
 # (RFC 4180): the path in double quotes, each quote in it doubled.
 _QUOTED_CSV_LINE = re.compile(r'"((?:[^"]|"")*)"\s*,(.*)')
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
@@ -285,20 +286,22 @@ def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
       outex-index  optional leading count line, then 'name label' per line
 
     Every accepted line yields exactly one entry, order is preserved, and
-    each path must resolve to a file under root (with the .ras fallback
-    described in _resolve_entry). Errors cite the 1-based line number.
+    each path must resolve to a new file under root (with the .ras fallback
+    described in _resolve_entry). Lines end at CRLF, CR or LF only; errors
+    cite the 1-based line number.
     """
     if fmt not in ("native-csv", "outex-index"):
         raise ManifestError(f"unknown manifest format {fmt!r}")
     root = str(root)
     entries = []
+    first_line = {}  # resolved path -> the line that listed it
     declared = None
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = data.decode("utf-8").splitlines()
+        lines = _LINE_BREAK.split(data.decode("utf-8"))
     except UnicodeDecodeError as err:
-        lineno = len((data[:err.start].decode("utf-8") + ".").splitlines())
+        lineno = len(_LINE_BREAK.split(data[:err.start].decode("utf-8")))
         raise ManifestError(f"{path}:{lineno}: not UTF-8: {err.reason}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -336,6 +339,10 @@ def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
         if label < 0:
             raise ManifestError(f"{path}:{lineno}: negative label {label}")
         rel = _resolve_entry(root, rel, lineno, path)
+        if rel in first_line:
+            raise ManifestError(
+                f"{path}:{lineno}: duplicate sample path {rel} (line {first_line[rel]})")
+        first_line[rel] = lineno
         entries.append((rel, label))
     if declared is not None and declared != len(entries):
         raise ManifestError(

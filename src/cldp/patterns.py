@@ -40,33 +40,17 @@ def _popcount_u32(codes: np.ndarray) -> np.ndarray:
 
 
 class Riu2Mapper:
-    """Maps P-bit codes to riu2 bins, by table lookup or direct arithmetic.
-
-    The two strategies are interchangeable; 'lut' trades 2**P bytes of memory
-    for speed and is the default up to P=16, 'direct' recomputes popcounts
-    and transitions per call and works for any P up to 24.
+    """Maps P-bit codes to riu2 bins, P an integer in [4, 24] as for
+    make_geometry: up to P=16 by a 2**P-entry table, above it by arithmetic
+    on every call, the choice following from P alone.
     """
 
-    def __init__(self, P: int, strategy: str | None = None):
-        if int(P) != P or not 1 <= P <= 24:
-            raise ValueError(f"P must be an integer in [1, 24], got {P}")
-        if strategy is None:
-            strategy = "lut" if P <= 16 else "direct"
-        if strategy not in ("lut", "direct"):
-            raise ValueError(f"unknown riu2 strategy {strategy!r}")
+    def __init__(self, P: int):
+        if int(P) != P or not 4 <= P <= 24:
+            raise ValueError(f"P must be an integer in [4, 24], got {P}")
         self.P = int(P)
-        self.strategy = strategy
-        self.bins = self.P + 2
-        self.table = self._build_table() if strategy == "lut" else None
-
-    def _build_table(self) -> np.ndarray:
-        n = 1 << self.P
-        table = np.empty(n, dtype=np.uint8)
-        chunk = min(n, 1 << 20)
-        for start in range(0, n, chunk):
-            codes = np.arange(start, min(start + chunk, n), dtype=np.uint32)
-            table[start : start + codes.size] = self._direct(codes)
-        return table
+        self.table = (self._direct(np.arange(1 << self.P, dtype=np.uint32))
+                      if self.P <= 16 else None)
 
     def _direct(self, codes: np.ndarray) -> np.ndarray:
         P = np.uint32(self.P)
@@ -108,28 +92,22 @@ def derivative_error(what: str, R: float) -> ValueError:
 
 
 def code_space_stats(P: int) -> dict:
-    """Exhaustive statistics of the P-bit code space.
+    """Exhaustive statistics of the P-bit code space, P as Riu2Mapper takes it.
 
     Returns total code count, number of rotation equivalence classes
     (counted by Burnside over cyclic shifts), the riu2 bin count, how many
     codes are uniform, and the population of every riu2 bin.
     """
-    if int(P) != P or not 4 <= P <= 24:
-        raise ValueError(f"P must be an integer in [4, 24], got {P}")
-    P = int(P)
+    mapper = _default_mapper(P)
+    P = mapper.P
     total = 1 << P
-    mapper = Riu2Mapper(P, strategy="direct")
     populations = np.zeros(P + 2, dtype=np.int64)
     chunk = 1 << 20
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.uint32)
         populations += np.bincount(mapper.map_array(codes), minlength=P + 2)
-    classes = 0
-    for d in range(1, P + 1):
-        if P % d == 0:
-            phi = sum(1 for k in range(1, P // d + 1) if math.gcd(k, P // d) == 1)
-            classes += phi * (1 << d)
-    classes //= P
+    # Burnside: a shift by k fixes the 2**g codes whose period divides g = gcd(k, P).
+    classes = sum(1 << math.gcd(k, P) for k in range(P)) // P
     uniform = int(total - populations[P + 1])
     return {
         "P": P,

@@ -99,7 +99,8 @@ def make_geometry(P: int, R: float) -> SamplingGeometry:
 
     This is the one statement of which geometries the pipeline accepts: P
     an integer in [4, 24], the widths the riu2 mapping serves, and R a
-    finite real >= 1. Displacements within SNAP_TOL of an integer snap to a
+    finite real >= 1. When 4 | P, offset i >= P/4 is the quarter turn of
+    offset i - P/4. Displacements within SNAP_TOL of an integer snap to a
     single tap with weight 1. Geometries are frozen and memoized per (P, R),
     so every image sampled at one geometry shares a single instance; bad
     arguments raise on every call.
@@ -110,21 +111,13 @@ def make_geometry(P: int, R: float) -> SamplingGeometry:
     R = float(R)
     if not (math.isfinite(R) and R >= 1.0):
         raise ValueError(f"R must be a finite real >= 1, got {R}")
-    if P % 4 == 0:
-        q = P // 4
-        offsets = [
-            _offset_for(-R * math.sin(2.0 * math.pi * p / P),
-                        R * math.cos(2.0 * math.pi * p / P))
-            for p in range(q)
-        ]
-        for _ in range(3):
-            offsets.extend(_rotated(o) for o in offsets[-q:])
-    else:
-        offsets = [
-            _offset_for(-R * math.sin(2.0 * math.pi * p / P),
-                        R * math.cos(2.0 * math.pi * p / P))
-            for p in range(P)
-        ]
+    count = P // 4 if P % 4 == 0 else P
+    offsets = [
+        _offset_for(-R * math.sin(2.0 * math.pi * p / P), R * math.cos(2.0 * math.pi * p / P))
+        for p in range(count)
+    ]
+    while len(offsets) < P:
+        offsets.append(_rotated(offsets[-count]))
     return SamplingGeometry(P, R, tuple(offsets))
 
 

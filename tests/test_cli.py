@@ -590,8 +590,10 @@ def test_enumerate_codes_json(capsys):
 
 
 def test_enumerate_codes_rejects_bad_p(capsys):
-    assert main(["enumerate-codes", "-P", "3"]) == 1
-    assert "cldp: error:" in capsys.readouterr().err
+    for P in ("3", "25"):
+        assert main(["enumerate-codes", "-P", P]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cldp: error: P must be an integer in [4, 24], got {P}\n"
 
 
 def test_synth_command(tmp_path, capsys):

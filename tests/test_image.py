@@ -222,6 +222,28 @@ def test_load_manifest_reads_utf8_and_cites_the_line_of_other_bytes(tmp_path):
             load_manifest(m, tmp_path, "native-csv")
 
 
+def test_load_manifest_breaks_lines_only_at_cr_and_lf(tmp_path):
+    """U+2028, U+0085 and the other Unicode line separators are part of a
+    sample name; CRLF, CR and LF end a line, and errors count those lines."""
+    touch_images(tmp_path, ["a\u2028b.pgm", "a\u0085b.pgm", "c.pgm"])
+    m = tmp_path / "m.csv"
+    m.write_bytes('"a\u2028b.pgm",0\r\na\u0085b.pgm,1\rc.pgm,2\n'.encode("utf-8"))
+    assert load_manifest(m, tmp_path, "native-csv").entries == (
+        ("a\u2028b.pgm", 0), ("a\u0085b.pgm", 1), ("c.pgm", 2))
+    m.write_bytes("c.pgm,0\u2028\r\nc.pgm,x\n".encode("utf-8"))
+    with pytest.raises(ManifestError, match=f"^{m}:2: bad label"):
+        load_manifest(m, tmp_path, "native-csv")
+
+
+@pytest.mark.parametrize("text", ["c.pgm,0\nc.pgm,1\n", "c.ras,0\r\nc.pgm,1\r\n"])
+def test_load_manifest_duplicate_cites_both_lines(tmp_path, text):
+    touch_images(tmp_path, ["c.pgm"])
+    m = tmp_path / "list.csv"
+    m.write_text(text)
+    with pytest.raises(ManifestError, match=f"^{m}:2: duplicate sample path c.pgm \\(line 1\\)$"):
+        load_manifest(m, tmp_path, "native-csv")
+
+
 def test_load_manifest_outex_index_with_count(tmp_path):
     touch_images(tmp_path, ["x.pgm", "y.pgm"])
     m = tmp_path / "m.txt"

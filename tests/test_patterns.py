@@ -11,6 +11,7 @@ from cldp import (
     load_pgm,
 )
 from conftest import gray, random_8bit, traced_peak
+from naive import naive_riu2, naive_rotation_classes
 
 
 def test_transitions_examples():
@@ -18,50 +19,47 @@ def test_transitions_examples():
     any other code to the catch-all bin P+1."""
     codes = np.array([0b00000000, 0b11111111, 0b00000001, 0b01010101, 0b00011100],
                      dtype=np.uint32)  # transitions 0, 0, 2, 8, 2
-    for strategy in ("lut", "direct"):
-        assert Riu2Mapper(8, strategy).map_array(codes).tolist() == [0, 8, 1, 9, 3]
+    assert Riu2Mapper(8).map_array(codes).tolist() == [0, 8, 1, 9, 3]
 
 
 def test_riu2_bin_examples():
-    # 0x8001 is a run of two ones that wraps from bit 15 to bit 0
-    for strategy in ("lut", "direct"):
-        got = Riu2Mapper(16, strategy).map_array(np.array([0x8001, 0x0101, 0xFFFF, 0x00F0]))
-        assert got.tolist() == [2, 17, 16, 4]
+    # 0x8001 is a run of two ones that wraps from bit 15 to bit 0; P=16 maps
+    # by its table, P=24 by arithmetic
+    got = Riu2Mapper(16).map_array(np.array([0x8001, 0x0101, 0xFFFF, 0x00F0]))
+    assert got.tolist() == [2, 17, 16, 4]
     got = Riu2Mapper(24).map_array(np.array([0b111, 0xAAAAAA, 0x800001]))
     assert got.tolist() == [3, 25, 2]
 
 
 def test_riu2_is_rotation_invariant_p8():
     codes = np.arange(256, dtype=np.uint32)
-    for strategy in ("lut", "direct"):
-        mapper = Riu2Mapper(8, strategy)
-        want = mapper.map_array(codes)
-        for k in range(1, 8):
-            rolled = ((codes << k) | (codes >> (8 - k))) & 0xFF
-            assert np.array_equal(mapper.map_array(rolled), want)
+    mapper = Riu2Mapper(8)
+    want = mapper.map_array(codes)
+    for k in range(1, 8):
+        rolled = ((codes << k) | (codes >> (8 - k))) & 0xFF
+        assert np.array_equal(mapper.map_array(rolled), want)
 
 
-def test_mapper_strategies_agree_p8():
-    lut = Riu2Mapper(8, strategy="lut")
-    direct = Riu2Mapper(8, strategy="direct")
+def test_mapper_matches_naive_riu2_p8():
     codes = np.arange(256, dtype=np.uint32)
-    assert np.array_equal(lut.map_array(codes), direct.map_array(codes))
+    assert Riu2Mapper(8).map_array(codes).tolist() == [naive_riu2(c, 8) for c in range(256)]
 
 
-def test_mapper_default_strategy_switches_at_16():
-    assert Riu2Mapper(16).strategy == "lut"
-    assert Riu2Mapper(17).strategy == "direct"
+def test_mapper_uses_a_table_up_to_p16():
+    assert Riu2Mapper(16).table.shape == (1 << 16,)
+    assert Riu2Mapper(17).table is None
+
+
+@pytest.mark.parametrize("P", [3, 25, 8.5])
+def test_mapper_rejects_p_outside_4_to_24(P):
+    with pytest.raises(ValueError, match=r"P must be an integer in \[4, 24\]"):
+        Riu2Mapper(P)
 
 
 def test_mapper_validates_codes():
-    for strategy in ("lut", "direct"):
-        mapper = Riu2Mapper(8, strategy)
-        with pytest.raises(ValueError):
-            mapper.map_array(np.array([256], dtype=np.uint32))
-        with pytest.raises(ValueError):
-            mapper.map_array(np.array([0, 300], dtype=np.uint32))
-        with pytest.raises(ValueError):
-            mapper.map_array(np.array([3, -1]))
+    for P, codes in ((8, [256]), (8, [0, 300]), (8, [3, -1]), (24, [1 << 24]), (24, [5, -1])):
+        with pytest.raises(ValueError, match=f"code out of range for P={P}"):
+            Riu2Mapper(P).map_array(np.array(codes))
 
 
 def test_code_space_stats_p8():
@@ -76,6 +74,20 @@ def test_code_space_stats_p8():
 
 def test_code_space_stats_p4():
     assert code_space_stats(4)["rotation_classes"] == 6
+
+
+def test_code_space_stats_closed_forms_every_p():
+    """The uniform codes are all-zeros, all-ones and the P rotations of each
+    run of 1..P-1 ones, so bin k in 1..P-1 holds P codes."""
+    for P in range(4, 25):
+        stats = code_space_stats(P)
+        assert stats["P"] == P
+        assert stats["total_codes"] == 1 << P
+        assert stats["riu2_bins"] == P + 2
+        assert stats["uniform_codes"] == P * (P - 1) + 2
+        assert stats["bin_populations"] == [1] + [P] * (P - 1) + [1, (1 << P) - P * (P - 1) - 2]
+        if P <= 12:
+            assert stats["rotation_classes"] == naive_rotation_classes(P)
 
 
 def ramp(n=9):
