@@ -26,10 +26,8 @@ from .image import (
     FormatError,
     GrayImage,
     ManifestError,
-    load_bmp8,
     load_image,
     load_manifest,
-    load_pgm,
     normalize_image,
     save_pgm,
 )
@@ -38,7 +36,6 @@ from .patterns import (
     Riu2Mapper,
     canonical_intensity,
     code_space_stats,
-    export_map_pgm,
     extract_maps,
     extract_radii,
 )
@@ -51,7 +48,6 @@ from .suite import (
     FeatureCache,
     SuiteError,
     SuiteSpec,
-    atomic_write_bytes,
     atomic_write_text,
     histogram_for_file,
     load_matrix_config,
@@ -81,7 +77,6 @@ __all__ = [
     "SparseHistogram",
     "SuiteError",
     "SuiteSpec",
-    "atomic_write_bytes",
     "atomic_write_text",
     "build_histogram",
     "canonical_intensity",
@@ -90,18 +85,15 @@ __all__ = [
     "code_space_stats",
     "component_bins",
     "evaluate",
-    "export_map_pgm",
     "extract_maps",
     "extract_radii",
     "format_histogram_csv_row",
     "histogram_for_file",
     "histogram_from_bytes",
     "histogram_to_bytes",
-    "load_bmp8",
     "load_image",
     "load_manifest",
     "load_matrix_config",
-    "load_pgm",
     "load_suite_config",
     "make_geometry",
     "make_synthetic_suite",

@@ -154,14 +154,6 @@ class FeatureHistogram:
         if self.bins.shape != (sum(self.dims),):
             raise ValueError("histogram length does not match group dims")
 
-    def group_slices(self):
-        out = []
-        start = 0
-        for d in self.dims:
-            out.append(slice(start, start + d))
-            start += d
-        return out
-
     def sparse(self) -> "SparseHistogram":
         """The nonzero bins of this histogram."""
         indices = np.flatnonzero(self.bins).astype(np.min_scalar_type(self.bins.size))

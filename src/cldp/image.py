@@ -84,21 +84,19 @@ def _header_int(data: bytes, pos: int, what: str):
     return value, end
 
 
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def load_pgm(path) -> GrayImage:
-    """Read a binary (P5) 8-bit PGM file; see parse_pgm."""
-    return parse_pgm(_read_bytes(path))
+def _raster(data: bytes, pos: int, need: int) -> bytes:
+    """The need bytes of pixel data that start at byte pos."""
+    if pos + need > len(data):
+        raise FormatError(f"truncated raster: expected {need} bytes from byte {pos}, "
+                          f"file ends at byte {len(data)}")
+    return data[pos : pos + need]
 
 
 def parse_pgm(data: bytes) -> GrayImage:
     """Decode the bytes of a binary (P5) 8-bit PGM file.
 
-    Header whitespace and '#' comments are tolerated; malformed or truncated
-    files raise FormatError naming the offending byte offset.
+    Header whitespace and '#' comments are tolerated; a malformed or truncated
+    file, or a value above maxval, raises FormatError naming its byte offset.
     """
     if data[:2] != b"P5":
         raise FormatError(f"not a P5 PGM (magic {data[:2]!r} at byte 0)")
@@ -110,14 +108,11 @@ def parse_pgm(data: bytes) -> GrayImage:
     if not 1 <= maxval <= 255:
         raise FormatError(f"unsupported maxval {maxval} (8-bit only)")
     pos += 1  # exactly one whitespace byte separates header and raster
-    need = width * height
-    raster = data[pos : pos + need]
-    if len(raster) < need:
-        raise FormatError(
-            f"truncated raster: expected {need} bytes from byte {pos}, "
-            f"file ends at byte {len(data)}"
-        )
+    raster = _raster(data, pos, width * height)
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if maxval < 255 and arr.max() > maxval:  # no byte exceeds 255
+        i = np.flatnonzero(arr > maxval)[0]
+        raise FormatError(f"pixel value {arr.flat[i]} at byte {pos + i} exceeds maxval {maxval}")
     return GrayImage(arr)
 
 
@@ -125,18 +120,13 @@ def save_pgm(img: GrayImage, path) -> None:
     """Write a canonical P5 PGM (header 'P5\\n<w> <h>\\n255\\n').
 
     Pixels are clipped to [0, 255] and rounded half up, so an image that came
-    from load_pgm round-trips byte-exactly.
+    from an 8-bit PGM round-trips byte-exactly.
     """
     px = np.clip(np.floor(img.pixels + 0.5), 0.0, 255.0).astype(np.uint8)
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(px.tobytes())
-
-
-def load_bmp8(path) -> GrayImage:
-    """Read an uncompressed 8-bit palettized BMP file; see parse_bmp8."""
-    return parse_bmp8(_read_bytes(path))
 
 
 def parse_bmp8(data: bytes) -> GrayImage:
@@ -146,6 +136,7 @@ def parse_bmp8(data: bytes) -> GrayImage:
     value directly (this covers identity gray ramps), anything else goes
     through the usual luma weights 0.299/0.587/0.114 rounded half up.
     Bottom-up files are flipped to the top-left origin used everywhere else.
+    A pixel index past the palette's last entry raises FormatError.
     """
     if data[:2] != b"BM":
         raise FormatError(f"not a BMP (magic {data[:2]!r} at byte 0)")
@@ -181,18 +172,19 @@ def parse_bmp8(data: bytes) -> GrayImage:
             gray[i] = int(math.floor(0.299 * r + 0.587 * g + 0.114 * b + 0.5))
 
     stride = (width + 3) & ~3
-    need = stride * height
-    raster = data[pix_off : pix_off + need]
-    if len(raster) < need:
-        raise FormatError(
-            f"truncated raster: expected {need} bytes from byte {pix_off}, "
-            f"file ends at byte {len(data)}"
-        )
+    raster = _raster(data, pix_off, stride * height)
     rows = np.frombuffer(raster, dtype=np.uint8).reshape(height, stride)
     idx = rows[:, :width]
+    if n_entries < 256 and idx.max() >= n_entries:
+        r, c = np.argwhere(idx >= n_entries)[0]
+        raise FormatError(f"pixel index {idx[r, c]} at byte {pix_off + r * stride + c} "
+                          f"is past the {n_entries}-entry palette")
     if flipped:
         idx = idx[::-1]
     return GrayImage(gray[idx])
+
+
+_DECODERS = {".pgm": parse_pgm, ".pnm": parse_pgm, ".bmp": parse_bmp8}
 
 
 def load_image(path, data: bytes | None = None) -> GrayImage:
@@ -202,13 +194,12 @@ def load_image(path, data: bytes | None = None) -> GrayImage:
     (to hash it, say), and is decoded instead of reading the file again.
     """
     ext = os.path.splitext(str(path))[1].lower()
-    if ext in (".pgm", ".pnm"):
-        parse = parse_pgm
-    elif ext == ".bmp":
-        parse = parse_bmp8
-    else:
+    if ext not in _DECODERS:
         raise FormatError(f"unsupported image extension {ext!r} for {path}")
-    return parse(_read_bytes(path) if data is None else data)
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return _DECODERS[ext](data)
 
 
 def normalize_image(img: GrayImage, mean: float = 128.0, std: float = 20.0) -> GrayImage:
@@ -269,10 +260,13 @@ def _resolve_entry(root: str, rel: str, lineno: int, path) -> str:
     raise ManifestError(f"{path}:{lineno}: cannot resolve sample {rel!r} under {root}")
 
 
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+# Blanks in a line are ASCII only: U+0085, U+00A0 and such are part of a name.
+_BLANKS = " \t\v\f"
+_BLANK_RUN = re.compile(f"[{_BLANKS}]+")
 # A native-csv line whose path is quoted as histogram.csv_field quotes it
 # (RFC 4180): the path in double quotes, each quote in it doubled.
-_QUOTED_CSV_LINE = re.compile(r'"((?:[^"]|"")*)"\s*,(.*)')
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_QUOTED_CSV_LINE = re.compile(f'"((?:[^"]|"")*)"[{_BLANKS}]*,(.*)')
 
 
 def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
@@ -287,8 +281,8 @@ def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
 
     Every accepted line yields exactly one entry, order is preserved, and
     each path must resolve to a new file under root (with the .ras fallback
-    described in _resolve_entry). Lines end at CRLF, CR or LF only; errors
-    cite the 1-based line number.
+    described in _resolve_entry). Lines end at CRLF, CR or LF only, and
+    blanks are ASCII (see _BLANKS); errors cite the 1-based line number.
     """
     if fmt not in ("native-csv", "outex-index"):
         raise ManifestError(f"unknown manifest format {fmt!r}")
@@ -304,7 +298,7 @@ def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
         lineno = len(_LINE_BREAK.split(data[:err.start].decode("utf-8")))
         raise ManifestError(f"{path}:{lineno}: not UTF-8: {err.reason}") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(_BLANKS)
         if not line:
             continue
         if fmt == "native-csv" and line.startswith('"'):
@@ -316,9 +310,9 @@ def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
             if "," not in line:
                 raise ManifestError(f"{path}:{lineno}: expected 'path,label'")
             rel, _, label_text = line.rpartition(",")
-            rel = rel.strip()
+            rel = rel.strip(_BLANKS)
         else:
-            parts = line.split()
+            parts = _BLANK_RUN.split(line)
             if len(parts) == 1 and lineno == 1 and not entries:
                 try:
                     declared = int(parts[0])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage, save_pgm
+from .image import GrayImage
 from .sampler import OffsetSampler, SamplingGeometry, make_geometry, plane_diffs, valid_region
 
 _M1 = np.uint32(0x55555555)
@@ -284,13 +284,3 @@ def extract_radii(img: GrayImage, P: int, radii) -> list:
             outer_signs[R] = sign_codes
     return [done[R] for R in radii]
 
-
-def export_map_pgm(maps: PatternMaps, component: str, path) -> None:
-    """Write one map as a PGM diagnostic.
-
-    riu2 bins are scaled by floor(255 / (P + 1)) so the full bin range spreads
-    over [0, 255]; the 0/1 center map is scaled by 255.
-    """
-    arr = maps.component(component)
-    scale = 255 if component == "C" else 255 // (maps.P + 1)
-    save_pgm(GrayImage(arr.astype(np.float64) * float(scale)), path)

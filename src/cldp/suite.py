@@ -97,13 +97,9 @@ def atomic_writer(path):
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(data)
-
-
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_writer(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 # Items map_ordered keeps submitted but not yet consumed, per worker: one

@@ -84,6 +84,21 @@ def test_extract_bmp_with_oversized_palette_exits_2_naming_it(tmp_path, capsys, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name, data, message", [
+    ("bad.pgm", b"P5\n2 2\n100\n" + bytes([0, 1, 200, 3]), "pixel value 200 at byte 13 exceeds maxval 100"),
+    ("bad.bmp", make_bmp8(2, 2, [[0, 1], [200, 0]], [(0, 0, 0), (9, 9, 9)]),
+     "pixel index 200 at byte 62 is past the 2-entry palette"),
+], ids=["pgm", "bmp"])
+def test_extract_raster_value_its_header_rules_out_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                                                      name, data, message):
+    (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", name, "-P", "4", "-R", "1", "--scheme", "S"]) == 2
+    captured = capsys.readouterr()
+    assert f"sample {name}: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_extract_outex_manifest_with_ras_fallback(tmp_path, capsys):
     img_dir, names = _write_images(tmp_path, count=2)
     manifest = tmp_path / "index.txt"

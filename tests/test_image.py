@@ -8,14 +8,12 @@ from cldp import (
     GrayImage,
     ManifestError,
     extract_maps,
-    load_bmp8,
     load_image,
     load_manifest,
-    load_pgm,
     normalize_image,
     save_pgm,
 )
-from cldp.image import parse_bmp8
+from cldp.image import parse_bmp8, parse_pgm
 from conftest import gray
 
 
@@ -48,7 +46,7 @@ def make_bmp8(width, height, rows, palette, top_down=False):
 
 def test_load_pgm_2x2(tmp_path):
     p = write_bytes(tmp_path / "a.pgm", b"P5\n2 2\n255\n" + bytes([0, 255, 16, 32]))
-    img = load_pgm(p)
+    img = load_image(p)
     assert (img.width, img.height) == (2, 2)
     assert img.pixels.tolist() == [[0.0, 255.0], [16.0, 32.0]]
 
@@ -56,7 +54,7 @@ def test_load_pgm_2x2(tmp_path):
 def test_load_pgm_rejects_p2(tmp_path):
     p = write_bytes(tmp_path / "a.pgm", b"P2\n2 2\n255\n0 1 2 3\n")
     with pytest.raises(FormatError, match="P5"):
-        load_pgm(p)
+        load_image(p)
 
 
 def test_load_pgm_comment_is_transparent(tmp_path):
@@ -65,19 +63,19 @@ def test_load_pgm_comment_is_transparent(tmp_path):
         tmp_path / "commented.pgm",
         b"P5\n2 2\n# a comment line\n255\n" + bytes(range(4)),
     )
-    assert np.array_equal(load_pgm(plain).pixels, load_pgm(commented).pixels)
+    assert np.array_equal(load_image(plain).pixels, load_image(commented).pixels)
 
 
 def test_load_pgm_rejects_wide_maxval(tmp_path):
     p = write_bytes(tmp_path / "a.pgm", b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(FormatError, match="maxval"):
-        load_pgm(p)
+        load_image(p)
 
 
 def test_load_pgm_truncated_names_offset(tmp_path):
     p = write_bytes(tmp_path / "a.pgm", b"P5\n2 2\n255\n" + bytes(3))
     with pytest.raises(FormatError, match="byte"):
-        load_pgm(p)
+        load_image(p)
 
 
 def test_pgm_round_trip_is_byte_exact(tmp_path):
@@ -86,15 +84,15 @@ def test_pgm_round_trip_is_byte_exact(tmp_path):
     first = tmp_path / "first.pgm"
     second = tmp_path / "second.pgm"
     save_pgm(gray(arr), first)
-    save_pgm(load_pgm(first), second)
+    save_pgm(load_image(first), second)
     assert first.read_bytes() == second.read_bytes()
-    assert np.array_equal(load_pgm(first).pixels, arr)
+    assert np.array_equal(load_image(first).pixels, arr)
 
 
 def test_save_pgm_rounds_half_up_and_clips(tmp_path):
     p = tmp_path / "round.pgm"
     save_pgm(gray([[0.49, 0.5, 254.5, 300.0, -4.0]]), p)
-    assert load_pgm(p).pixels.tolist() == [[0.0, 1.0, 255.0, 255.0, 0.0]]
+    assert load_image(p).pixels.tolist() == [[0.0, 1.0, 255.0, 255.0, 0.0]]
 
 
 # -- BMP ----------------------------------------------------------------
@@ -102,19 +100,19 @@ def test_save_pgm_rounds_half_up_and_clips(tmp_path):
 def test_load_bmp8_gray_ramp_palette(tmp_path):
     palette = [(i, i, i) for i in range(256)]
     p = write_bytes(tmp_path / "a.bmp", make_bmp8(1, 1, [[7]], palette))
-    assert load_bmp8(p).pixels.tolist() == [[7.0]]
+    assert load_image(p).pixels.tolist() == [[7.0]]
 
 
 def test_load_bmp8_bottom_up_rows_flip(tmp_path):
     palette = [(i, i, i) for i in range(256)]
     p = write_bytes(tmp_path / "a.bmp", make_bmp8(1, 2, [[10], [20]], palette))
-    assert load_bmp8(p).pixels.tolist() == [[10.0], [20.0]]
+    assert load_image(p).pixels.tolist() == [[10.0], [20.0]]
 
 
 def test_load_bmp8_luma_palette(tmp_path):
     # 0.299*255 = 76.245 -> 76 after rounding half up
     p = write_bytes(tmp_path / "a.bmp", make_bmp8(1, 1, [[0]], [(255, 0, 0)]))
-    assert load_bmp8(p).pixels.tolist() == [[76.0]]
+    assert load_image(p).pixels.tolist() == [[76.0]]
 
 
 def test_load_bmp8_rejects_compression(tmp_path):
@@ -122,7 +120,7 @@ def test_load_bmp8_rejects_compression(tmp_path):
     data[30] = 1  # BI_RLE8
     p = write_bytes(tmp_path / "a.bmp", bytes(data))
     with pytest.raises(FormatError, match="compression"):
-        load_bmp8(p)
+        load_image(p)
 
 
 def test_parse_bmp8_rejects_palette_over_256_entries():
@@ -130,6 +128,29 @@ def test_parse_bmp8_rejects_palette_over_256_entries():
     assert parse_bmp8(make_bmp8(1, 1, [[255]], palette)).pixels.tolist() == [[255.0]]
     with pytest.raises(FormatError, match="palette of 300 entries"):
         parse_bmp8(make_bmp8(4, 4, [[0] * 4] * 4, palette + palette[:44]))
+
+
+def test_parse_pgm_rejects_a_value_above_maxval():
+    header = b"P5\n4 1\n100\n"
+    assert parse_pgm(header + bytes([0, 100, 7, 100])).pixels.tolist() == [[0.0, 100.0, 7.0, 100.0]]
+    with pytest.raises(FormatError, match=f"^pixel value 200 at byte {len(header) + 2} exceeds maxval 100$"):
+        parse_pgm(header + bytes([0, 100, 200, 101]))
+
+
+def test_parse_bmp8_truncated_raster_names_offset():
+    data = make_bmp8(2, 2, [[0, 1], [1, 0]], [(0, 0, 0), (255, 255, 255)])
+    with pytest.raises(FormatError, match="^truncated raster: expected 8 bytes from byte 62, "
+                                          "file ends at byte 66$"):
+        parse_bmp8(data[:-4])
+
+
+def test_parse_bmp8_rejects_an_index_past_the_palette():
+    palette = [(0, 0, 0), (255, 255, 255)]
+    assert parse_bmp8(make_bmp8(2, 2, [[0, 1], [1, 0]], palette)).pixels.tolist() == [
+        [0.0, 255.0], [255.0, 0.0]]
+    # Bottom-up: the second image row is the first stored row, at byte 14 + 40 + 8.
+    with pytest.raises(FormatError, match="^pixel index 200 at byte 63 is past the 2-entry palette$"):
+        parse_bmp8(make_bmp8(2, 2, [[0, 1], [0, 200]], palette))
 
 
 def test_load_image_dispatch(tmp_path):
@@ -233,6 +254,20 @@ def test_load_manifest_breaks_lines_only_at_cr_and_lf(tmp_path):
     m.write_bytes("c.pgm,0\u2028\r\nc.pgm,x\n".encode("utf-8"))
     with pytest.raises(ManifestError, match=f"^{m}:2: bad label"):
         load_manifest(m, tmp_path, "native-csv")
+
+
+@pytest.mark.parametrize("fmt, text, name", [
+    ("outex-index", "a\u0085b.pgm 0\n", "a\u0085b.pgm"),
+    ("native-csv", "\u0085c.pgm,0\n", "\u0085c.pgm"),
+    ("native-csv", "\u00a0c.pgm\u2003,0\n", "\u00a0c.pgm\u2003"),
+], ids=["outex-index-nel", "native-csv-nel", "native-csv-nbsp-emsp"])
+def test_load_manifest_splits_and_trims_only_at_ascii_blanks(tmp_path, fmt, text, name):
+    """U+0085, U+00A0 and the other Unicode spaces are part of a sample name:
+    only ASCII space, tab, VT and FF separate or surround fields."""
+    touch_images(tmp_path, [name])
+    m = tmp_path / "m.txt"
+    m.write_bytes(text.encode("utf-8"))
+    assert load_manifest(m, tmp_path, fmt).entries == ((name, 0),)
 
 
 @pytest.mark.parametrize("text", ["c.pgm,0\nc.pgm,1\n", "c.ras,0\r\nc.pgm,1\r\n"])

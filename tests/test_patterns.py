@@ -5,10 +5,8 @@ from cldp import (
     Riu2Mapper,
     canonical_intensity,
     code_space_stats,
-    export_map_pgm,
     extract_maps,
     extract_radii,
-    load_pgm,
 )
 from conftest import gray, random_8bit, traced_peak
 from naive import naive_riu2, naive_rotation_classes
@@ -213,16 +211,6 @@ def test_extract_maps_derivative_gating():
     assert np.all(extract_maps(img, 8, 2.0).component("D") == 0)
     with pytest.raises(ValueError):
         maps.component("Q")
-
-
-def test_export_map_pgm(tmp_path):
-    rng = np.random.default_rng(34)
-    maps = extract_maps(gray(random_8bit(rng, 12, 12)), 8, 2.0)
-    out = tmp_path / "sign.pgm"
-    export_map_pgm(maps, "S", out)
-    img = load_pgm(out)
-    assert img.pixels.shape == maps.sign.shape
-    assert np.array_equal(img.pixels, maps.sign.astype(np.float64) * 28)  # 255 // 9
 
 
 def _assert_maps_equal(got, want):

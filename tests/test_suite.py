@@ -19,7 +19,6 @@ from cldp import (
     ModelSet,
     SuiteError,
     SuiteSpec,
-    atomic_write_bytes,
     atomic_write_text,
     build_histogram,
     evaluate,
@@ -37,7 +36,7 @@ from cldp import (
 from cldp import suite as suite_module
 from cldp.histogram import _parse_scheme
 from cldp.sampler import OffsetSampler
-from cldp.suite import _WINDOW_PER_WORKER, map_ordered
+from cldp.suite import _WINDOW_PER_WORKER, atomic_writer, map_ordered
 from conftest import SharedLog, gray, random_8bit
 
 
@@ -55,7 +54,8 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out" / "data.txt"
     atomic_write_text(target, "hello\n")
     assert target.read_text() == "hello\n"
-    atomic_write_bytes(target, b"\x00\x01")
+    with atomic_writer(target) as fh:
+        fh.write(b"\x00\x01")
     assert target.read_bytes() == b"\x00\x01"
     assert os.listdir(target.parent) == ["data.txt"]
 
