@@ -22,7 +22,7 @@ import tempfile
 
 from . import __version__
 from .histogram import binary_radius, check_scheme, format_histogram_csv_row, histogram_to_bytes
-from .image import load_manifest
+from .image import ascii_int, load_manifest
 from .patterns import code_space_stats
 from .suite import (
     CacheError,
@@ -210,7 +210,7 @@ def cmd_synth(args) -> int:
 
 
 def _add_geometry_flags(p) -> None:
-    p.add_argument("-P", type=int, default=8, metavar="P",
+    p.add_argument("-P", type=_uint, default=8, metavar="P",
                    help="neighbors on the circle (default 8)")
     p.add_argument("-R", type=float, default=3.0, metavar="R",
                    help="outer sampling radius (default 3)")
@@ -218,17 +218,18 @@ def _add_geometry_flags(p) -> None:
                    help="component scheme, '/' joint and '_' concatenated (default S/M/D/C)")
 
 
-def _workers(text: str) -> int:
-    """--workers: an integer >= 0."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _uint(text: str) -> int:
+    """An integer flag: ASCII digits, as ascii_int reads them, so >= 0."""
+    try:
+        return ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
 
 
 def _add_runtime_flags(p) -> None:
     p.add_argument("--cache-dir", default=os.environ.get("CLDP_CACHE_DIR"),
                    help="feature cache directory (default $CLDP_CACHE_DIR)")
-    p.add_argument("--workers", type=_workers, default=1,
+    p.add_argument("--workers", type=_uint, default=1,
                    help="worker processes, >= 0; 0 = one per CPU this process may run on"
                         " (default 1)")
 
@@ -274,16 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("enumerate-codes", help="print code-space statistics for one P")
-    p.add_argument("-P", type=int, default=8, metavar="P", help="code width, 4..24 (default 8)")
+    p.add_argument("-P", type=_uint, default=8, metavar="P", help="code width, 4..24 (default 8)")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_enumerate_codes)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic texture suite")
     p.add_argument("out_dir", help="directory to create the suite under")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--samples-per-class", type=int, default=10)
-    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--seed", type=_uint, default=7)
+    p.add_argument("--classes", type=_uint, default=3)
+    p.add_argument("--samples-per-class", type=_uint, default=10)
+    p.add_argument("--size", type=_uint, default=64)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -6,6 +6,8 @@ interpolation and threshold comparison runs in real arithmetic.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 import re
@@ -75,13 +77,9 @@ def _token(data: bytes, pos: int):
 
 def _header_int(data: bytes, pos: int, what: str):
     tok, end = _token(data, pos)
-    try:
-        value = int(tok)
-    except ValueError:
-        raise FormatError(
-            f"bad {what} {tok!r} at byte {end - len(tok)}"
-        ) from None
-    return value, end
+    if not tok.isdigit():  # ASCII digits only, as ascii_int reads text
+        raise FormatError(f"bad {what} {tok!r} at byte {end - len(tok)}")
+    return int(tok), end
 
 
 def _raster(data: bytes, pos: int, need: int) -> bytes:
@@ -260,88 +258,87 @@ def _resolve_entry(root: str, rel: str, lineno: int, path) -> str:
     raise ManifestError(f"{path}:{lineno}: cannot resolve sample {rel!r} under {root}")
 
 
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
-# Blanks in a line are ASCII only: U+0085, U+00A0 and such are part of a name.
+# Blanks are ASCII only: U+0085, U+00A0 and such are part of a name.
 _BLANKS = " \t\v\f"
 _BLANK_RUN = re.compile(f"[{_BLANKS}]+")
-# A native-csv line whose path is quoted as histogram.csv_field quotes it
-# (RFC 4180): the path in double quotes, each quote in it doubled.
-_QUOTED_CSV_LINE = re.compile(f'"((?:[^"]|"")*)"[{_BLANKS}]*,(.*)')
+_RECORD = {"native-csv": "path,label", "outex-index": "name label"}
+
+
+def ascii_int(text: str) -> int:
+    """text, less surrounding ASCII blanks, as an integer of ASCII digits
+    [0-9]+; a sign, a '_' or another script's digits is a ValueError."""
+    digits = text.strip(_BLANKS)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(digits)
+
+
+def _csv_records(lines, path):
+    """(line it starts on, fields) of each RFC 4180 record in lines."""
+    reader = csv.reader(lines, strict=True)
+    lineno = 1
+    try:
+        for fields in reader:
+            yield lineno, fields
+            lineno = reader.line_num + 1
+    except csv.Error as err:
+        raise ManifestError(f"{path}:{lineno}: expected 'path,label' ({err})") from None
 
 
 def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
     """Parse a sample manifest, UTF-8 text as 'cldp extract' rows are.
 
     Formats:
-      native-csv   one 'relative/path,label' per line, no header; a path
-                   in double quotes is read as an RFC 4180 field, so the
-                   rows 'cldp extract' writes read back, else the label
-                   follows the last comma
-      outex-index  optional leading count line, then 'name label' per line
+      native-csv   one RFC 4180 record per sample, no header: the label is
+                   the last field, the path the others joined by ',', kept
+                   verbatim, blanks included; a quote must open its field
+      outex-index  optional leading count line, then 'name label' per line,
+                   split at runs of ASCII blanks (_BLANKS)
 
-    Every accepted line yields exactly one entry, order is preserved, and
-    each path must resolve to a new file under root (with the .ras fallback
-    described in _resolve_entry). Lines end at CRLF, CR or LF only, and
-    blanks are ASCII (see _BLANKS); errors cite the 1-based line number.
+    Labels and the count are read by ascii_int. A record of ASCII blanks is
+    skipped; each other one yields an entry, in order, whose path resolves
+    to a new file under root (see _resolve_entry). Lines end at CRLF, CR or
+    LF only; an error cites the line its record, or its non-UTF-8 byte, starts on.
     """
-    if fmt not in ("native-csv", "outex-index"):
+    if fmt not in _RECORD:
         raise ManifestError(f"unknown manifest format {fmt!r}")
     root = str(root)
-    entries = []
-    first_line = {}  # resolved path -> the line that listed it
+    listed = {}  # resolved path -> (the line that listed it, label)
     declared = None
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = _LINE_BREAK.split(data.decode("utf-8"))
+        lines = io.StringIO(data.decode("utf-8"), newline="")
     except UnicodeDecodeError as err:
-        lineno = len(_LINE_BREAK.split(data[:err.start].decode("utf-8")))
+        head = data[:err.start].decode("utf-8")
+        lineno = 1 + head.count("\r") + head.count("\n") - head.count("\r\n")
         raise ManifestError(f"{path}:{lineno}: not UTF-8: {err.reason}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip(_BLANKS)
-        if not line:
+    records = _csv_records(lines, path) if fmt == "native-csv" else (
+        (n, _BLANK_RUN.split(line.strip(_BLANKS + "\r\n"))) for n, line in enumerate(lines, 1))
+    for lineno, fields in records:
+        if len(fields) < 2 and not "".join(fields).strip(_BLANKS):
             continue
-        if fmt == "native-csv" and line.startswith('"'):
-            quoted = _QUOTED_CSV_LINE.fullmatch(line)
-            if quoted is None:
-                raise ManifestError(f"{path}:{lineno}: expected '\"path\",label'")
-            rel, label_text = quoted.group(1).replace('""', '"'), quoted.group(2)
-        elif fmt == "native-csv":
-            if "," not in line:
-                raise ManifestError(f"{path}:{lineno}: expected 'path,label'")
-            rel, _, label_text = line.rpartition(",")
-            rel = rel.strip(_BLANKS)
-        else:
-            parts = _BLANK_RUN.split(line)
-            if len(parts) == 1 and lineno == 1 and not entries:
-                try:
-                    declared = int(parts[0])
-                except ValueError:
-                    raise ManifestError(
-                        f"{path}:{lineno}: bad count line {line!r}"
-                    ) from None
-                continue
-            if len(parts) != 2:
-                raise ManifestError(f"{path}:{lineno}: expected 'name label'")
-            rel, label_text = parts
+        if fmt == "outex-index" and len(fields) == 1 and lineno == 1:
+            try:
+                declared = ascii_int(fields[0])
+            except ValueError:
+                raise ManifestError(f"{path}:1: bad count line {fields[0]!r}") from None
+            continue
+        if len(fields) < 2 or (fmt == "outex-index" and len(fields) > 2):
+            raise ManifestError(f"{path}:{lineno}: expected {_RECORD[fmt]!r}")
         try:
-            label = int(label_text)
+            label = ascii_int(fields[-1])
         except ValueError:
+            raise ManifestError(f"{path}:{lineno}: bad label {fields[-1]!r}") from None
+        rel = _resolve_entry(root, ",".join(fields[:-1]), lineno, path)
+        if rel in listed:
             raise ManifestError(
-                f"{path}:{lineno}: bad label {label_text!r}"
-            ) from None
-        if label < 0:
-            raise ManifestError(f"{path}:{lineno}: negative label {label}")
-        rel = _resolve_entry(root, rel, lineno, path)
-        if rel in first_line:
-            raise ManifestError(
-                f"{path}:{lineno}: duplicate sample path {rel} (line {first_line[rel]})")
-        first_line[rel] = lineno
-        entries.append((rel, label))
-    if declared is not None and declared != len(entries):
+                f"{path}:{lineno}: duplicate sample path {rel} (line {listed[rel][0]})")
+        listed[rel] = lineno, label
+    if declared is not None and declared != len(listed):
         raise ManifestError(
-            f"{path}: declared {declared} samples but parsed {len(entries)}"
+            f"{path}: declared {declared} samples but parsed {len(listed)}"
         )
-    if not entries:
+    if not listed:
         raise ManifestError(f"{path}: empty manifest")
-    return Manifest(root, entries)
+    return Manifest(root, [(rel, label) for rel, (_, label) in listed.items()])

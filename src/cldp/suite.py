@@ -48,7 +48,8 @@ from .histogram import (
     histogram_to_bytes,
     parse_scheme,
 )
-from .image import GrayImage, Manifest, load_image, load_manifest, normalize_image, save_pgm  # noqa: F401
+from .image import (  # noqa: F401
+    GrayImage, Manifest, ascii_int, load_image, load_manifest, normalize_image, save_pgm)
 from .patterns import PatternMaps, extract_maps, extract_radii, has_derivative
 from .sampler import valid_region
 
@@ -239,7 +240,7 @@ def load_suite_config(path) -> SuiteSpec:
         raise DatasetError(f"{path}: image root {root} does not exist. {dataset_help}")
     def _count(key):
         try:
-            return int(values[key]) if key in values else None
+            return ascii_int(values[key]) if key in values else None
         except ValueError:
             raise ConfigError(f"{path}: bad integer for {key!r}") from None
 
@@ -651,7 +652,7 @@ class ExperimentMatrix:
         _check_cells(self.schemes, self.geometries)
 
 
-_GEOMETRY = r"\(\s*(\d+)\s*,\s*(\d+(?:\.\d+)?)\s*\)"
+_GEOMETRY = r"\(\s*([0-9]+)\s*,\s*([0-9]+(?:\.[0-9]+)?)\s*\)"
 
 
 def load_matrix_config(path) -> ExperimentMatrix:

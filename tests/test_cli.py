@@ -19,6 +19,7 @@ from cldp import (
 )
 from cldp import cli
 from cldp.cli import main
+from cldp.histogram import csv_field
 from cldp.suite import _MAPS_MAGIC, _WINDOW_PER_WORKER, FeatureCache, _seal
 from conftest import gray, random_8bit, traced_peak
 from test_image import make_bmp8
@@ -310,6 +311,29 @@ def test_extract_rows_read_back_as_a_manifest(tmp_path):
             == tuple((name, i) for i, name in enumerate(names)))
     assert main(["extract", str(again)] + args) == 0
     assert rows.read_bytes() == want
+
+
+@pytest.mark.parametrize("name", [
+    "a,b.pgm", 'say "cheese".pgm', "a\rb.pgm", "a\nb.pgm", "a\r\nb.pgm",
+    "a\u2028b.pgm", "a\u0085b.pgm", " lead.pgm", "\u00e9.pgm",
+], ids=["comma", "quote", "cr", "lf", "crlf", "u2028", "u0085", "leading-blank", "e-acute"])
+def test_extract_row_fields_load_back_as_a_manifest(tmp_path, name):
+    """The first two fields of an extract row, as csv_field writes them, are
+    a manifest line that loads back as the same (path, label)."""
+    rng = np.random.default_rng(5)
+    img_dir = tmp_path / "images"
+    img_dir.mkdir()
+    save_pgm(gray(random_8bit(rng, 24, 24)), img_dir / name)
+    line = f"{csv_field(name)},3"
+    manifest = tmp_path / "list.csv"
+    manifest.write_bytes(f"{line}\n".encode("utf-8"))
+    rows = tmp_path / "rows.csv"
+    assert main(["extract", str(manifest), "--root", str(img_dir), "-P", "8", "-R", "2",
+                 "--out", str(rows)]) == 0
+    text = rows.read_bytes().decode("utf-8")
+    assert text.startswith(line + ",S/M/D/C,8,2,")
+    assert [row[:2] for row in csv.reader(io.StringIO(text, newline=""))] == [[name, "3"]]
+    assert load_manifest(manifest, img_dir, "native-csv").entries == ((name, 3),)
 
 
 def test_extract_truncated_maps_entry_exits_2_naming_the_sample(tmp_path, capsys):
@@ -638,6 +662,31 @@ def test_usage_errors_exit_1(capsys):
             main(args + ["--normalize", "mean128-std20"])
         assert exc.value.code == 1
         assert "--normalize" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["geometries", "expected_train", "--workers", "-P"])
+def test_digits_of_other_scripts_are_usage_errors(tmp_path, capsys, where):
+    """An integer read from a config file or a flag is ASCII digits, as a
+    manifest label is: Arabic-Indic digits, which int() and \\d take, exit 1."""
+    _synth(tmp_path)
+    suite_cfg = tmp_path / "suite" / "suite.cfg"
+    text = suite_cfg.read_text(encoding="utf-8")
+    assert "expected_train = 4\n" in text
+    if where == "expected_train":
+        suite_cfg.write_text(text.replace("expected_train = 4", "expected_train = \u0664"),
+                             encoding="utf-8")
+    geometries = "(\u0668,\u0663)" if where == "geometries" else "(8,3)"
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text(f"schemes = CLBP_S\ngeometries = {geometries}\nsuites = suite/suite.cfg\n",
+                      encoding="utf-8")
+    argv = {"--workers": ["bench", str(matrix), "--quiet", "--workers", "\u0662"],
+            "-P": ["enumerate-codes", "-P", "\u0668"]}.get(where, ["bench", str(matrix), "--quiet"])
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag
+        rc = exc.code
+    assert rc == 1
+    assert where in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

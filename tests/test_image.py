@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -70,6 +71,13 @@ def test_load_pgm_rejects_wide_maxval(tmp_path):
     p = write_bytes(tmp_path / "a.pgm", b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(FormatError, match="maxval"):
         load_image(p)
+
+
+@pytest.mark.parametrize("width", [b"1_0", b"+8"])
+def test_load_pgm_header_numbers_are_ascii_digits(width):
+    """int() takes '1_0' as 10 and '+8' as 8; a header field is digits."""
+    with pytest.raises(FormatError, match=re.escape(f"bad width {width!r} at byte 3")):
+        parse_pgm(b"P5\n" + width + b" 1\n255\n" + bytes(10))
 
 
 def test_load_pgm_truncated_names_offset(tmp_path):
@@ -217,12 +225,12 @@ def test_load_manifest_native_csv_unquotes_a_quoted_path(tmp_path):
     it; an unquoted line keeps its label after the last comma."""
     touch_images(tmp_path, ["a,b.pgm", 'q"t.pgm', "c,d.pgm"])
     m = tmp_path / "m.csv"
-    m.write_text('"a,b.pgm",3\n "q""t.pgm" , 1\nc,d.pgm,2\n')
+    m.write_text('"a,b.pgm",3\n"q""t.pgm", 1\nc,d.pgm,2\n')
     manifest = load_manifest(m, tmp_path, "native-csv")
     assert manifest.entries == (("a,b.pgm", 3), ('q"t.pgm', 1), ("c,d.pgm", 2))
 
 
-@pytest.mark.parametrize("line", ['"a.pgm,0', '"a.pgm"0', '"a"b.pgm",0'])
+@pytest.mark.parametrize("line", ['"a.pgm,0', '"a.pgm"0', '"a"b.pgm",0', '"a.pgm" ,0'])
 def test_load_manifest_bad_quoted_path_cites_line(tmp_path, line):
     touch_images(tmp_path, ["a.pgm"])
     m = tmp_path / "m.csv"
@@ -252,7 +260,7 @@ def test_load_manifest_breaks_lines_only_at_cr_and_lf(tmp_path):
     assert load_manifest(m, tmp_path, "native-csv").entries == (
         ("a\u2028b.pgm", 0), ("a\u0085b.pgm", 1), ("c.pgm", 2))
     m.write_bytes("c.pgm,0\u2028\r\nc.pgm,x\n".encode("utf-8"))
-    with pytest.raises(ManifestError, match=f"^{m}:2: bad label"):
+    with pytest.raises(ManifestError, match=re.escape(f"{m}:1: bad label '0\\u2028'")):
         load_manifest(m, tmp_path, "native-csv")
 
 
@@ -279,12 +287,33 @@ def test_load_manifest_duplicate_cites_both_lines(tmp_path, text):
         load_manifest(m, tmp_path, "native-csv")
 
 
+def test_load_manifest_cites_the_line_a_record_starts_on(tmp_path):
+    """A quoted name holding a line break spans two lines; the record and its
+    duplicate are cited by the lines they start on."""
+    touch_images(tmp_path, ["a\nb.pgm"])
+    m = tmp_path / "list.csv"
+    m.write_text('"a\nb.pgm",0\n"a\nb.pgm",1\n', encoding="utf-8")
+    with pytest.raises(ManifestError, match=re.escape(f"{m}:3: duplicate sample path a\nb.pgm (line 1)")):
+        load_manifest(m, tmp_path, "native-csv")
+
+
 def test_load_manifest_outex_index_with_count(tmp_path):
     touch_images(tmp_path, ["x.pgm", "y.pgm"])
     m = tmp_path / "m.txt"
     m.write_text("2\nx.pgm 0\ny.pgm 1\n")
     manifest = load_manifest(m, tmp_path, "outex-index")
     assert manifest.entries == (("x.pgm", 0), ("y.pgm", 1))
+
+
+@pytest.mark.parametrize("count", ["two", "\u0662"])
+def test_load_manifest_bad_count_line_cites_line(tmp_path, count):
+    """The count line is ASCII digits, as a label is: int() would take the
+    Arabic-Indic two."""
+    touch_images(tmp_path, ["x.pgm", "y.pgm"])
+    m = tmp_path / "m.txt"
+    m.write_text(f"{count}\nx.pgm 0\ny.pgm 1\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"^{m}:1: bad count line "):
+        load_manifest(m, tmp_path, "outex-index")
 
 
 def test_load_manifest_count_mismatch(tmp_path):
@@ -296,11 +325,14 @@ def test_load_manifest_count_mismatch(tmp_path):
 
 
 def test_load_manifest_bad_label_cites_line(tmp_path):
-    touch_images(tmp_path, ["a.pgm"])
+    """A label is ASCII digits: int() would take the Arabic-Indic three, a
+    leading U+0085 and an underscore."""
+    touch_images(tmp_path, ["a.pgm", "c.pgm"])
     m = tmp_path / "m.csv"
-    m.write_text("a.pgm,zero\n")
-    with pytest.raises(ManifestError, match=":1:"):
-        load_manifest(m, tmp_path, "native-csv")
+    for line in ("a.pgm,zero", "c.pgm,\u0663", "c.pgm,\u00853", "c.pgm,1_0"):
+        m.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match=":1: bad label"):
+            load_manifest(m, tmp_path, "native-csv")
 
 
 def test_load_manifest_unresolvable_path_cites_line(tmp_path):
