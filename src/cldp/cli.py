@@ -22,7 +22,7 @@ import tempfile
 
 from . import __version__
 from .histogram import binary_radius, check_scheme, format_histogram_csv_row, histogram_to_bytes
-from .image import ascii_int, load_manifest
+from .image import ascii_int, ascii_radius, load_manifest
 from .patterns import code_space_stats
 from .suite import (
     CacheError,
@@ -79,7 +79,7 @@ def _output(out):
         sys.stdout.buffer.flush()
 
 
-def _task_histogram(histogram_for_file, scheme, P, R, cache, task):
+def _task_histogram(scheme, P, R, cache, task):
     """histogram_for_file of one extract task, (rel, label, abs_path)."""
     rel, _, abs_path = task
     return histogram_for_file(rel, abs_path, scheme, P, R, cache)
@@ -93,12 +93,13 @@ def cmd_extract(args) -> int:
     memory holds one image's work plus a bounded window of results whatever
     the manifest length. The output appears only when every image succeeds.
     """
-    expr = check_scheme(args.scheme, args.P, args.R)
+    R = ascii_radius(args.R)
+    expr = check_scheme(args.scheme, args.P, R)
     fmt, root = _manifest_source(args.input, args)
     if args.format == "binary":
         if fmt is not None:
             raise ValueError("--format binary holds one histogram; use csv for manifests")
-        binary_radius(args.R)
+        binary_radius(R)
     if fmt is not None:
         manifest = load_manifest(args.input, root, fmt)
         tasks = [(rel, label, manifest.abs_path(rel)) for rel, label in manifest.entries]
@@ -108,9 +109,7 @@ def cmd_extract(args) -> int:
         tasks = [(args.input, -1, args.input)]
 
     cache = FeatureCache(args.cache_dir) if args.cache_dir else None
-    # histogram_for_file is looked up here, so a wrapper put in its place
-    # before the command runs is the one the workers call.
-    work = functools.partial(_task_histogram, histogram_for_file, expr, args.P, args.R, cache)
+    work = functools.partial(_task_histogram, expr, args.P, R, cache)
     with _output(args.out) as fh, \
             contextlib.closing(map_ordered(work, tasks, args.workers)) as hists:
         if args.format == "binary":
@@ -134,7 +133,8 @@ def _adhoc_suite(args) -> SuiteSpec:
 
 
 def cmd_classify(args) -> int:
-    check_scheme(args.scheme, args.P, args.R)
+    R = ascii_radius(args.R)
+    check_scheme(args.scheme, args.P, R)
     if args.config:
         if args.train or args.test:
             raise ValueError("--config and --train/--test are mutually exclusive")
@@ -143,7 +143,7 @@ def cmd_classify(args) -> int:
         if not (args.train and args.test):
             raise ValueError("classify needs either --config or both --train and --test")
         spec = _adhoc_suite(args)
-    rep = run_suite(spec, args.scheme, args.P, args.R,
+    rep = run_suite(spec, args.scheme, args.P, R,
                     cache_dir=args.cache_dir, workers=args.workers)
     if args.format == "json":
         text = rep.to_json()
@@ -212,7 +212,7 @@ def cmd_synth(args) -> int:
 def _add_geometry_flags(p) -> None:
     p.add_argument("-P", type=_uint, default=8, metavar="P",
                    help="neighbors on the circle (default 8)")
-    p.add_argument("-R", type=float, default=3.0, metavar="R",
+    p.add_argument("-R", default="3", metavar="R",
                    help="outer sampling radius (default 3)")
     p.add_argument("--scheme", default="S/M/D/C",
                    help="component scheme, '/' joint and '_' concatenated (default S/M/D/C)")

@@ -242,18 +242,16 @@ class Manifest:
 
 
 def _resolve_entry(root: str, rel: str, lineno: int, path) -> str:
-    """Resolve a manifest entry, falling back to sibling .pgm/.bmp files.
+    """Resolve a manifest entry; only a missing .ras falls back, to .pgm/.bmp.
 
     Outex index files reference the original .ras rasters; a converted copy
     keeps the index untouched and stores .pgm/.bmp next to them.
     """
-    cand = os.path.join(root, rel)
-    if os.path.isfile(cand):
+    if os.path.isfile(os.path.join(root, rel)):
         return rel
-    stem = os.path.splitext(rel)[0]
-    for ext in (".pgm", ".bmp"):
-        alt = stem + ext
-        if os.path.isfile(os.path.join(root, alt)):
+    stem, ext = os.path.splitext(rel)
+    for alt in (stem + ".pgm", stem + ".bmp"):
+        if ext == ".ras" and os.path.isfile(os.path.join(root, alt)):
             return alt
     raise ManifestError(f"{path}:{lineno}: cannot resolve sample {rel!r} under {root}")
 
@@ -271,6 +269,18 @@ def ascii_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected ASCII digits, got {text!r}")
     return int(digits)
+
+
+# A radius, in a config's geometries and in -R: ASCII digits, optional fraction.
+DECIMAL = r"[0-9]+(?:\.[0-9]+)?"
+
+
+def ascii_radius(text: str) -> float:
+    """text, less surrounding ASCII blanks, as a radius written in DECIMAL;
+    a sign, an exponent, a '_' or another script's digits is a ValueError."""
+    if not re.fullmatch(DECIMAL, text.strip(_BLANKS)):
+        raise ValueError(f"R must be ASCII digits with an optional '.' fraction, got {text!r}")
+    return float(text)
 
 
 def _csv_records(lines, path):

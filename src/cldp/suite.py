@@ -49,7 +49,7 @@ from .histogram import (
     parse_scheme,
 )
 from .image import (  # noqa: F401
-    GrayImage, Manifest, ascii_int, load_image, load_manifest, normalize_image, save_pgm)
+    DECIMAL, GrayImage, Manifest, ascii_int, load_image, load_manifest, normalize_image, save_pgm)
 from .patterns import PatternMaps, extract_maps, extract_radii, has_derivative
 from .sampler import valid_region
 
@@ -187,8 +187,9 @@ class SuiteSpec:
         self.expected = expected
 
 
-def _parse_kv_file(path) -> dict:
-    """Parse a flat 'key = value' config file with '#' comments."""
+def _parse_kv_file(path, required) -> dict:
+    """Parse a flat 'key = value' config file with '#' comments, which
+    must set every key of required."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -205,6 +206,9 @@ def _parse_kv_file(path) -> dict:
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = value
+    for key in required:
+        if key not in values:
+            raise ConfigError(f"{path}: missing required key {key!r}")
     return values
 
 
@@ -223,11 +227,8 @@ def load_suite_config(path) -> SuiteSpec:
     counts. Relative paths resolve against the config file; environment
     variables in paths are expanded.
     """
-    values = _parse_kv_file(path)
+    values = _parse_kv_file(path, ("name", "root", "train_manifest", "test_manifest"))
     config_dir = os.path.dirname(os.path.abspath(path))
-    for key in ("name", "root", "train_manifest", "test_manifest"):
-        if key not in values:
-            raise ConfigError(f"{path}: missing required key {key!r}")
     fmt = values.get("format", "native-csv")
     root = _resolve_config_path(values["root"], config_dir)
     dataset_help = (
@@ -477,19 +478,15 @@ def _files(manifest, digests=None) -> list:
     return [(rel, manifest.abs_path(rel), d) for (rel, _), d in zip(manifest.entries, digests)]
 
 
-def _file_digest(entry) -> str:
-    """The content SHA-256 of the sample of a _files entry."""
-    return _read_sample(entry[1])[1]
-
-
-def _split_key(manifest, workers: int):
-    """The ordered (content SHA-256, label) list of a manifest's samples, or
-    None when a sample cannot be read: its run then reports that sample."""
+def _split_key(manifest):
+    """The ordered (content SHA-256, label) list of a manifest's samples,
+    each file read and hashed here, or None when a sample cannot be read:
+    its run then reports that sample."""
     try:
-        digests = list(map_ordered(_file_digest, _files(manifest), workers))
+        return tuple((_read_sample(manifest.abs_path(rel))[1], label)
+                     for rel, label in manifest.entries)
     except OSError:
         return None
-    return tuple(zip(digests, (label for _, label in manifest.entries)))
 
 
 def _histograms(maps, schemes) -> list:
@@ -565,10 +562,11 @@ def _run(suites, schemes, geometries, cache: FeatureCache | None, workers: int,
     sequence share a geometry's model sets, built by the first of them
     whose train pass at that geometry succeeds; they are dropped when the
     P is done. Only a suite whose training label sequence another suite
-    repeats is hashed to find its split, since splits with different
-    labels never match; those digests then key the cache, so no training
-    file is hashed twice. With workers > 1 each pass runs in worker
-    processes of its own (see map_ordered), and its fn, which carries the
+    repeats has its split hashed, since splits with different labels never
+    match; that is done once per run, in the calling process (_split_key),
+    and those digests then key the cache, so no training file is hashed
+    twice. With workers > 1 each pass runs in worker processes of its own
+    (see map_ordered), and its fn, which carries the
     schemes, the cache and a test pass's model sets, must pickle. A train
     worker returns a training image's nonzero bins per scheme and radius,
     and a test worker the (label, tied) of a test image per scheme and
@@ -576,7 +574,7 @@ def _run(suites, schemes, geometries, cache: FeatureCache | None, workers: int,
     line per (scheme, geometry) before each (P, suite) pass.
     """
     sequences = [[label for _, label in spec.train.entries] for spec in suites]
-    split_keys = [_split_key(spec.train, workers) if sequences.count(seq) > 1 else None
+    split_keys = [_split_key(spec.train) if sequences.count(seq) > 1 else None
                   for spec, seq in zip(suites, sequences)]
     radii_of = {}  # P: its distinct radii, in geometry order, as the keys of a dict
     for P, R in geometries:
@@ -652,16 +650,13 @@ class ExperimentMatrix:
         _check_cells(self.schemes, self.geometries)
 
 
-_GEOMETRY = r"\(\s*([0-9]+)\s*,\s*([0-9]+(?:\.[0-9]+)?)\s*\)"
+_GEOMETRY = rf"\(\s*([0-9]+)\s*,\s*({DECIMAL})\s*\)"
 
 
 def load_matrix_config(path) -> ExperimentMatrix:
     """Load a matrix definition: schemes, geometries, suite config paths."""
-    values = _parse_kv_file(path)
+    values = _parse_kv_file(path, ("schemes", "geometries", "suites"))
     config_dir = os.path.dirname(os.path.abspath(path))
-    for key in ("schemes", "geometries", "suites"):
-        if key not in values:
-            raise ConfigError(f"{path}: missing required key {key!r}")
     schemes = tuple(s.strip() for s in values["schemes"].split(",") if s.strip())
     if not schemes:
         raise ConfigError(f"{path}: no schemes listed")
@@ -703,12 +698,28 @@ def cells_csv_text(cells) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mean_cell(name: str, members) -> MatrixCell | None:
+    """The cell named name holding the mean accuracy and summed ties of
+    members, cells of one (scheme, geometry): the one mean of the AVG rows
+    and the table. It fails when a member failed; None without members."""
+    if not members:
+        return None
+    scheme, P, R = members[0].scheme, members[0].P, members[0].R
+    if any(c.accuracy is None for c in members):
+        return MatrixCell(scheme, P, R, name, None, 0, error="aggregate over failed cells")
+    return MatrixCell(scheme, P, R, name, sum(c.accuracy for c in members) / len(members),
+                      sum(c.ties for c in members))
+
+
 @dataclass(frozen=True)
 class MatrixReport:
+    """A matrix's cells, and means[k][g]: scheme k's mean at geometry g."""
+
     cells: tuple
     schemes: tuple
     geometries: tuple
     suite_names: tuple
+    means: tuple
 
     @property
     def failed(self) -> bool:
@@ -717,50 +728,30 @@ class MatrixReport:
     def to_csv_text(self) -> str:
         return cells_csv_text(self.cells)
 
-    def _summary_cell(self, scheme: str, P: int, R: float) -> str:
-        """Table text of one (scheme, geometry): the mean accuracy over its
-        suites in percent, FAIL when one failed, - when none ran."""
-        rows = [c for c in self.cells if c.scheme == scheme and c.P == P and c.R == R
-                and c.suite in self.suite_names]
-        if not rows:
-            return "-"
-        if any(c.accuracy is None for c in rows):
-            return "FAIL"
-        return f"{100.0 * (sum(c.accuracy for c in rows) / len(rows)):.2f}"
-
     def to_table_text(self) -> str:
-        """Render scheme rows against geometry columns, with a Delta row after
-        every consecutive CLBP/CLDP pair (summary value: mean over suites)."""
-        name_width = max(len("scheme"), max((len(s) for s in self.schemes), default=6), len("Delta(acc)"))
+        """Render scheme rows against geometry columns, each value the mean
+        over the suites in percent (FAIL when one failed, - when none ran),
+        with a Delta row after every CLDP scheme that follows a CLBP one."""
+        name_width = max([len("Delta(acc)"), *map(len, self.schemes)])
         headers = [f"({P},{R:g})" for P, R in self.geometries]
         col = max(8, max((len(h) for h in headers), default=8) + 1)
 
         def line(name, values):
             return name.ljust(name_width) + "".join(v.rjust(col) for v in values)
 
+        def delta(a, b):
+            try:
+                return f"{float(b) - float(a):+.2f}"
+            except ValueError:  # FAIL or -
+                return "-"
+
+        rows = [["-" if m is None else "FAIL" if m.accuracy is None else f"{100.0 * m.accuracy:.2f}"
+                 for m in means] for means in self.means]
         lines = [line("scheme", headers)]
-
-        def cells_for(scheme):
-            return [self._summary_cell(scheme, P, R) for P, R in self.geometries]
-
-        i = 0
-        while i < len(self.schemes):
-            scheme = self.schemes[i]
-            row = cells_for(scheme)
+        for k, (scheme, row) in enumerate(zip(self.schemes, rows)):
             lines.append(line(scheme, row))
-            following = self.schemes[i + 1] if i + 1 < len(self.schemes) else ""
-            if scheme.startswith("CLBP") and following.startswith("CLDP"):
-                nxt = cells_for(following)
-                lines.append(line(following, nxt))
-                deltas = []
-                for a, b in zip(row, nxt):
-                    try:
-                        deltas.append(f"{float(b) - float(a):+.2f}")
-                    except ValueError:
-                        deltas.append("-")
-                lines.append(line("Delta(acc)", deltas))
-                i += 1
-            i += 1
+            if k and scheme.startswith("CLDP") and self.schemes[k - 1].startswith("CLBP"):
+                lines.append(line("Delta(acc)", [delta(a, b) for a, b in zip(rows[k - 1], row)]))
         return "\n".join(lines) + "\n"
 
 
@@ -771,18 +762,20 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
 
     Cells are listed scheme by scheme, then by geometry and suite.
     Aggregate rows are appended per (scheme, geometry): AVG3 when the
-    matrix has exactly three suites, AVG2-TC12 when exactly two suite
-    names contain 'TC12'. Both are plain means of the per-suite accuracies,
-    so they can be recomputed from the CSV.
+    matrix has exactly three suites, AVG2-TC12 over the suites whose names
+    contain 'TC12' when exactly two do. Both, and the table's value, are
+    _mean_cell of suite cells picked by position, plain means of the
+    per-suite accuracies, so they can be recomputed from the CSV.
     """
     cache = FeatureCache(cache_dir) if cache_dir else None
     suite_names = tuple(s.name for s in matrix.suites)
-    tc12 = [n for n in suite_names if "TC12" in n.upper()]
+    tc12 = [s for s, n in enumerate(suite_names) if "TC12" in n.upper()]
     schemes = [(text, parse_scheme(text)) for text in matrix.schemes]
     outcome = _run(matrix.suites, schemes, matrix.geometries, cache, workers, progress)
 
-    cells = []
+    cells, means = [], []
     for k, scheme in enumerate(matrix.schemes):
+        means.append([])
         for P, R in matrix.geometries:
             R = float(R)
             group = []
@@ -792,23 +785,17 @@ def run_matrix(matrix: ExperimentMatrix, cache_dir=None, workers: int = 1,
                              if isinstance(got, Exception)
                              else MatrixCell(scheme, P, R, name, got[k].accuracy, got[k].ties))
             cells.extend(group)
-
-            def aggregate(name, members):
-                if any(c.accuracy is None for c in members):
-                    return MatrixCell(scheme, P, R, name, None, 0,
-                                      error="aggregate over failed cells")
-                acc = sum(c.accuracy for c in members) / len(members)
-                return MatrixCell(scheme, P, R, name, acc, sum(c.ties for c in members))
-
             if len(suite_names) == 3:
-                cells.append(aggregate("AVG3", group))
+                cells.append(_mean_cell("AVG3", group))
             if len(tc12) == 2:
-                cells.append(aggregate("AVG2-TC12", [c for c in group if c.suite in tc12]))
+                cells.append(_mean_cell("AVG2-TC12", [group[s] for s in tc12]))
+            means[k].append(_mean_cell("mean", group))
     return MatrixReport(
         cells=tuple(cells),
         schemes=matrix.schemes,
         geometries=matrix.geometries,
         suite_names=suite_names,
+        means=tuple(map(tuple, means)),
     )
 
 

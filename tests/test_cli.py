@@ -664,10 +664,14 @@ def test_usage_errors_exit_1(capsys):
         assert "--normalize" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["geometries", "expected_train", "--workers", "-P"])
+@pytest.mark.parametrize("where", ["geometries", "expected_train", "--workers", "-P", "-R",
+                                   "-R 1e1", "-R 3_0"])
 def test_digits_of_other_scripts_are_usage_errors(tmp_path, capsys, where):
     """An integer read from a config file or a flag is ASCII digits, as a
-    manifest label is: Arabic-Indic digits, which int() and \\d take, exit 1."""
+    manifest label is, and a radius ASCII digits with an optional fraction:
+    Arabic-Indic digits, which int(), float() and \\d take, exit 1, and so do
+    the exponent and the '_' that float() takes."""
+    where, _, radius = where.partition(" ")
     _synth(tmp_path)
     suite_cfg = tmp_path / "suite" / "suite.cfg"
     text = suite_cfg.read_text(encoding="utf-8")
@@ -680,13 +684,15 @@ def test_digits_of_other_scripts_are_usage_errors(tmp_path, capsys, where):
     matrix.write_text(f"schemes = CLBP_S\ngeometries = {geometries}\nsuites = suite/suite.cfg\n",
                       encoding="utf-8")
     argv = {"--workers": ["bench", str(matrix), "--quiet", "--workers", "\u0662"],
-            "-P": ["enumerate-codes", "-P", "\u0668"]}.get(where, ["bench", str(matrix), "--quiet"])
+            "-P": ["enumerate-codes", "-P", "\u0668"],
+            "-R": ["extract", str(tmp_path / "suite" / "images" / "c00_train_000.pgm"),
+                   "-R", radius or "\u0663"]}.get(where, ["bench", str(matrix), "--quiet"])
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects a flag
         rc = exc.code
     assert rc == 1
-    assert where in capsys.readouterr().err
+    assert {"-R": "R must be"}.get(where, where) in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

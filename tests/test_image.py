@@ -351,6 +351,19 @@ def test_load_manifest_ras_falls_back_to_converted_sibling(tmp_path):
     assert manifest.entries == (("000001.pgm", 5),)
 
 
+def test_load_manifest_falls_back_only_from_ras(tmp_path):
+    """Only a missing .ras falls back to a converted sibling: a listed .bmp
+    or .txt, or a name with a NUL after its extension, names no file."""
+    touch_images(tmp_path, ["a.pgm", "b.pgm"])
+    m = tmp_path / "m"
+    for fmt, text, sample in [("native-csv", "a.bmp,0\nb.txt,1\n", "a.bmp"),
+                              ("native-csv", "b.txt,1\n", "b.txt"),
+                              ("outex-index", "a.pgm\0 0\n", "a.pgm\0")]:
+        m.write_text(text)
+        with pytest.raises(ManifestError, match=f":1: cannot resolve sample {re.escape(repr(sample))}"):
+            load_manifest(m, tmp_path, fmt)
+
+
 def test_load_manifest_rejects_duplicates_and_empty(tmp_path):
     touch_images(tmp_path, ["a.pgm"])
     m = tmp_path / "m.csv"

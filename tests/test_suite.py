@@ -1,5 +1,6 @@
 import collections
 import csv
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -376,6 +377,26 @@ def test_run_matrix_appends_avg2_for_tc12_pairs(tmp_path):
             + rows[("CLDP_S/D", "TC12-horizon")].accuracy) / 2
     assert pair.accuracy == want
     assert ("CLDP_S/D", "AVG3") not in rows
+
+
+def test_matrix_table_shows_the_mean_of_the_suite_cells(tmp_path):
+    """The table's value is the AVG3 row's mean over the three suite cells,
+    and AVG2-TC12 averages the TC12 suites, even when a suite is named like
+    an aggregate row."""
+    suites = tuple(
+        _renamed(make_synthetic_suite(tmp_path / name, seed=seed, classes=9,
+                                      samples_per_class=2, size=16), name)
+        for name, seed in (("x", 3), ("TC12a", 4), ("AVG2-TC12", 5)))
+    matrix = ExperimentMatrix(schemes=("CLBP_S/M/C",), geometries=((8, 1.0),), suites=suites)
+    report = run_matrix(matrix)
+    *members, avg3, avg2 = report.cells
+    accuracies = [c.accuracy for c in members]
+    assert [c.suite for c in members] == ["x", "TC12a", "AVG2-TC12"]
+    assert len(set(accuracies)) == 3
+    assert (avg3.suite, avg3.accuracy) == ("AVG3", sum(accuracies) / 3)
+    assert (avg2.suite, avg2.accuracy) == ("AVG2-TC12", (accuracies[1] + accuracies[2]) / 2)
+    assert report.to_table_text().splitlines()[1].split() == [
+        "CLBP_S/M/C", f"{100.0 * sum(accuracies) / 3:.2f}"]
 
 
 def test_run_matrix_records_failures(tmp_path):
@@ -924,21 +945,21 @@ def test_feature_cache_makes_each_subdirectory_once(tmp_path, monkeypatch, worke
     assert log.lines() == [str(tmp_path / "new")]
 
 
+def _fail_at_30(i):
+    if i == 30:
+        raise ValueError("item 30")
+    return i
+
+
 def test_map_ordered_leaves_no_worker_process():
     """The pool of worker processes is gone when map_ordered finishes, when
     an item past the window fails, and when the consumer closes it early."""
-
-    def fn(i):
-        if i == 30:
-            raise ValueError("item 30")
-        return i
-
-    assert list(map_ordered(fn, range(12), 3)) == list(range(12))
+    assert list(map_ordered(_fail_at_30, range(12), 3)) == list(range(12))
     assert multiprocessing.active_children() == []
     with pytest.raises(ValueError, match="item 30"):
-        list(map_ordered(fn, range(100), 3))
+        list(map_ordered(_fail_at_30, range(100), 3))
     assert multiprocessing.active_children() == []
-    results = map_ordered(fn, range(100), 3)
+    results = map_ordered(_fail_at_30, range(100), 3)
     assert next(results) == 0
     assert len(multiprocessing.active_children()) == 3
     results.close()
@@ -962,12 +983,20 @@ def test_map_ordered_zero_workers_means_one_per_usable_cpu(monkeypatch):
     the machine: with one, the items run here, without a pool."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert list(map_ordered(lambda i: os.getpid(), range(4), 0)) == [os.getpid()] * 4
+    assert list(map_ordered(_pid, range(4), 0)) == [os.getpid()] * 4
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert list(map_ordered(lambda i: os.getpid(), range(4), 0)) == [os.getpid()] * 4
+    assert list(map_ordered(_pid, range(4), 0)) == [os.getpid()] * 4
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert os.getpid() not in map_ordered(lambda i: os.getpid(), range(4), 0)
+    assert os.getpid() not in map_ordered(_pid, range(4), 0)
+
+
+def _counted_square(counts, i):
+    """i * i, counting i started in counts (started, consumed, most)."""
+    with counts.get_lock():
+        counts[0] += 1
+        counts[2] = max(counts[2], counts[0] - counts[1])
+    return i * i
 
 
 def test_map_ordered_keeps_a_bounded_window():
@@ -977,15 +1006,8 @@ def test_map_ordered_keeps_a_bounded_window():
     for workers in (1, 3):
         window = _WINDOW_PER_WORKER * workers
         counts = multiprocessing.Array("i", 3)  # started, consumed, most
-
-        def square(i):
-            with counts.get_lock():
-                counts[0] += 1
-                counts[2] = max(counts[2], counts[0] - counts[1])
-            return i * i
-
         got = []
-        for value in map_ordered(square, range(40), workers):
+        for value in map_ordered(functools.partial(_counted_square, counts), range(40), workers):
             time.sleep(0.001)
             got.append(value)
             with counts.get_lock():
@@ -994,23 +1016,24 @@ def test_map_ordered_keeps_a_bounded_window():
         assert 1 <= counts[2] <= window
 
 
+def _logged_fail_at_5_and_6(log, i):
+    log.append(str(i))
+    if i == 5:
+        time.sleep(0.05)  # item 6 fails first in time, 5 first in order
+        raise ValueError("item 5")
+    if i == 6:
+        raise ValueError("item 6")
+    return i
+
+
 def test_map_ordered_raises_first_failure_without_starting_past_window(tmp_path):
     workers = 3
     window = _WINDOW_PER_WORKER * workers
     log = SharedLog(tmp_path / "started.log")
-
-    def fn(i):
-        log.append(str(i))
-        if i == 5:
-            time.sleep(0.05)  # item 6 fails first in time, 5 first in order
-            raise ValueError("item 5")
-        if i == 6:
-            raise ValueError("item 6")
-        return i
-
     got = []
     with pytest.raises(ValueError, match="item 5"):
-        for value in map_ordered(fn, range(100), workers):
+        for value in map_ordered(functools.partial(_logged_fail_at_5_and_6, log), range(100),
+                                 workers):
             got.append(value)
     assert got == [0, 1, 2, 3, 4]
     started = {int(line) for line in log.lines()}
