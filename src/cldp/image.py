@@ -223,13 +223,6 @@ class Manifest:
     def __init__(self, root, entries):
         self.root = str(root)
         self.entries = tuple((str(p), int(l)) for p, l in entries)
-        seen = set()
-        for p, label in self.entries:
-            if label < 0:
-                raise ManifestError(f"negative label {label} for {p}")
-            if p in seen:
-                raise ManifestError(f"duplicate sample path {p}")
-            seen.add(p)
 
     def __len__(self):
         return len(self.entries)
@@ -271,16 +264,26 @@ def ascii_int(text: str) -> int:
     return int(digits)
 
 
-# A radius, in a config's geometries and in -R: ASCII digits, optional fraction.
-DECIMAL = r"[0-9]+(?:\.[0-9]+)?"
-
-
 def ascii_radius(text: str) -> float:
-    """text, less surrounding ASCII blanks, as a radius written in DECIMAL;
-    a sign, an exponent, a '_' or another script's digits is a ValueError."""
-    if not re.fullmatch(DECIMAL, text.strip(_BLANKS)):
+    """text, less surrounding ASCII blanks, as a radius: ASCII digits with an
+    optional '.' fraction, as in -R and a config's geometries; a sign, an
+    exponent, a '_' or another script's digits is a ValueError."""
+    if not re.fullmatch(r"[0-9]+(?:\.[0-9]+)?", text.strip(_BLANKS)):
         raise ValueError(f"R must be ASCII digits with an optional '.' fraction, got {text!r}")
     return float(text)
+
+
+def text_lines(path, error):
+    """The lines, ending at CRLF, CR or LF only, of UTF-8 text file path; a
+    byte that is not UTF-8 raises error citing its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as err:
+        head = data[:err.start].decode("utf-8")
+        lineno = 1 + head.count("\r") + head.count("\n") - head.count("\r\n")
+        raise error(f"{path}:{lineno}: not UTF-8: {err.reason}") from None
 
 
 def _csv_records(lines, path):
@@ -315,14 +318,7 @@ def load_manifest(path, root, fmt: str = "native-csv") -> Manifest:
     root = str(root)
     listed = {}  # resolved path -> (the line that listed it, label)
     declared = None
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        lines = io.StringIO(data.decode("utf-8"), newline="")
-    except UnicodeDecodeError as err:
-        head = data[:err.start].decode("utf-8")
-        lineno = 1 + head.count("\r") + head.count("\n") - head.count("\r\n")
-        raise ManifestError(f"{path}:{lineno}: not UTF-8: {err.reason}") from None
+    lines = text_lines(path, ManifestError)
     records = _csv_records(lines, path) if fmt == "native-csv" else (
         (n, _BLANK_RUN.split(line.strip(_BLANKS + "\r\n"))) for n, line in enumerate(lines, 1))
     for lineno, fields in records:

@@ -49,7 +49,8 @@ from .histogram import (
     parse_scheme,
 )
 from .image import (  # noqa: F401
-    DECIMAL, GrayImage, Manifest, ascii_int, load_image, load_manifest, normalize_image, save_pgm)
+    _BLANKS, GrayImage, Manifest, ascii_int, ascii_radius, load_image, load_manifest,
+    normalize_image, save_pgm, text_lines)
 from .patterns import PatternMaps, extract_maps, extract_radii, has_derivative
 from .sampler import valid_region
 
@@ -187,25 +188,24 @@ class SuiteSpec:
         self.expected = expected
 
 
-def _parse_kv_file(path, required) -> dict:
-    """Parse a flat 'key = value' config file with '#' comments, which
-    must set every key of required."""
+def _parse_kv_file(path, required, optional) -> dict:
+    """{key: value} of a 'key = value' config file with '#' comments, read
+    by text_lines as manifests are, each line, key and value trimmed of
+    ASCII blanks only. It sets each key of required, and may set each of
+    optional, once; any other key is an error citing its line."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value
+    for lineno, raw in enumerate(text_lines(path, ConfigError), start=1):
+        line = raw.strip(_BLANKS + "\r\n")
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = (part.strip(_BLANKS) for part in line.partition("="))
+        if key not in required and key not in optional:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
     for key in required:
         if key not in values:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -224,10 +224,11 @@ def load_suite_config(path) -> SuiteSpec:
 
     Keys: name, root, train_manifest, test_manifest, optional format
     (native-csv or outex-index), optional expected_train/expected_test
-    counts. Relative paths resolve against the config file; environment
-    variables in paths are expanded.
+    counts; no other. Relative paths resolve against the config file;
+    environment variables in paths are expanded.
     """
-    values = _parse_kv_file(path, ("name", "root", "train_manifest", "test_manifest"))
+    values = _parse_kv_file(path, ("name", "root", "train_manifest", "test_manifest"),
+                            ("format", "expected_train", "expected_test"))
     config_dir = os.path.dirname(os.path.abspath(path))
     fmt = values.get("format", "native-csv")
     root = _resolve_config_path(values["root"], config_dir)
@@ -346,11 +347,11 @@ class FeatureCache:
 
     def _load(self, key: str, kind: str, sample: str, parse):
         """parse(payload) of a sealed entry, or None when there is no entry."""
-        path = self._path(key, kind)
-        if not os.path.exists(path):
+        try:
+            with open(self._path(key, kind), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
             return None
-        with open(path, "rb") as fh:
-            data = fh.read()
         try:
             return parse(_unseal(data))
         except (CacheError, ValueError) as err:
@@ -650,26 +651,34 @@ class ExperimentMatrix:
         _check_cells(self.schemes, self.geometries)
 
 
-_GEOMETRY = rf"\(\s*([0-9]+)\s*,\s*({DECIMAL})\s*\)"
+_GEOMETRY = re.compile(r"\(([^(),]*),([^()]*)\)")  # (P, R), each read as its flag is
+
+
+def _items(text: str) -> tuple:
+    """The comma-separated items of text, less ASCII blanks; empty ones dropped."""
+    return tuple(filter(None, (item.strip(_BLANKS) for item in text.split(","))))
 
 
 def load_matrix_config(path) -> ExperimentMatrix:
-    """Load a matrix definition: schemes, geometries, suite config paths."""
-    values = _parse_kv_file(path, ("schemes", "geometries", "suites"))
+    """Load a matrix definition: the _items of schemes and suites (suite config
+    paths), the (P, R) pairs of geometries read as -P and -R are; no other key."""
+    values = _parse_kv_file(path, ("schemes", "geometries", "suites"), ())
     config_dir = os.path.dirname(os.path.abspath(path))
-    schemes = tuple(s.strip() for s in values["schemes"].split(",") if s.strip())
+    schemes = _items(values["schemes"])
     if not schemes:
         raise ConfigError(f"{path}: no schemes listed")
     geom_text = values["geometries"]
-    pairs = re.findall(_GEOMETRY, geom_text)
-    if not pairs or re.sub(_GEOMETRY + r"|[,\s]", "", geom_text):
+    try:
+        geometries = tuple((ascii_int(p), ascii_radius(r)) for p, r in _GEOMETRY.findall(geom_text))
+    except ValueError:
+        geometries = ()
+    if not geometries or _GEOMETRY.sub("", geom_text).strip(_BLANKS + ","):
         raise ConfigError(f"{path}: cannot parse geometries {geom_text!r}")
-    geometries = tuple((int(p), float(r)) for p, r in pairs)
     # A bad cell fails here, before any suite loads, so it is a config error
     # even when a dataset is missing too. parse_scheme and make_geometry are
     # memoized: the matrix's own check and the runs reuse this work.
     _check_cells(schemes, geometries)
-    suite_paths = [s.strip() for s in values["suites"].split(",") if s.strip()]
+    suite_paths = _items(values["suites"])
     if not suite_paths:
         raise ConfigError(f"{path}: no suites listed")
     suites = tuple(load_suite_config(_resolve_config_path(sp, config_dir)) for sp in suite_paths)
@@ -849,15 +858,15 @@ def make_synthetic_suite(out_dir, seed: int = 7, classes: int = 3,
     and smoothed white noise, with parameters stepped every three classes.
     Each sample is independently 90-degree rotated, intensity jittered and
     lightly noised, then quantized to 8-bit PGM. The same seed always
-    produces byte-identical files. Returns the SuiteSpec (manifests are
-    also written, plus a suite config usable by the bench command).
+    produces byte-identical files. Writes images/, the train.csv and
+    test.csv manifests and suite.cfg under out_dir, and returns
+    load_suite_config of that suite.cfg.
     """
     if classes < 2:
         raise ValueError("need at least 2 classes")
     if samples_per_class < 1 or size < 16:
         raise ValueError("need samples_per_class >= 1 and size >= 16")
     rng = np.random.default_rng(seed)
-    out_dir = str(out_dir)
     img_dir = os.path.join(out_dir, "images")
     os.makedirs(img_dir, exist_ok=True)
     rows = {"train": [], "test": []}
@@ -869,21 +878,16 @@ def make_synthetic_suite(out_dir, seed: int = 7, classes: int = 3,
                 rel = f"c{c:02d}_{split}_{i:03d}.pgm"
                 save_pgm(GrayImage(arr), os.path.join(img_dir, rel))
                 rows[split].append((rel, c))
-    name = f"synth-{classes}x{samples_per_class}-{size}px-seed{seed}"
-    manifests = {}
     for split in ("train", "test"):
-        mpath = os.path.join(out_dir, f"{split}.csv")
-        atomic_write_text(mpath, "".join(f"{rel},{label}\n" for rel, label in rows[split]))
-        manifests[split] = load_manifest(mpath, img_dir, "native-csv")
-    config = (
-        f"name = {name}\n"
+        atomic_write_text(os.path.join(out_dir, f"{split}.csv"),
+                          "".join(f"{rel},{label}\n" for rel, label in rows[split]))
+    config = os.path.join(out_dir, "suite.cfg")
+    atomic_write_text(config, (
+        f"name = synth-{classes}x{samples_per_class}-{size}px-seed{seed}\n"
         f"root = images\n"
         f"format = native-csv\n"
         f"train_manifest = train.csv\n"
         f"test_manifest = test.csv\n"
         f"expected_train = {classes * samples_per_class}\n"
-        f"expected_test = {classes * samples_per_class}\n"
-    )
-    atomic_write_text(os.path.join(out_dir, "suite.cfg"), config)
-    return SuiteSpec(name, manifests["train"], manifests["test"],
-                     expected=(classes * samples_per_class, classes * samples_per_class))
+        f"expected_test = {classes * samples_per_class}\n"))
+    return load_suite_config(config)

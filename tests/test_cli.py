@@ -20,7 +20,7 @@ from cldp import (
 from cldp import cli
 from cldp.cli import main
 from cldp.histogram import csv_field
-from cldp.suite import _MAPS_MAGIC, _WINDOW_PER_WORKER, FeatureCache, _seal
+from cldp.suite import _MAPS_MAGIC, _WINDOW_PER_WORKER, FeatureCache, _seal, _unseal
 from conftest import gray, random_8bit, traced_peak
 from test_image import make_bmp8
 
@@ -350,6 +350,30 @@ def test_extract_truncated_maps_entry_exits_2_naming_the_sample(tmp_path, capsys
     assert rc == 2
     err = capsys.readouterr().err
     assert f"corrupt cache entry for sample {img}: truncated maps header" in err
+
+
+def test_bench_maps_entry_with_bad_magic_exits_2_naming_the_sample(tmp_path, capsys):
+    """A .maps entry whose seal holds but whose payload is not pattern maps
+    fails the cells that read it, so bench exits 2."""
+    cfg = _matrix_config(tmp_path, schemes="CLBP_S")
+    cache = tmp_path / "cache"
+    args = ["bench", str(cfg), "--quiet", "--cache-dir", str(cache), "--out", str(tmp_path / "c.csv")]
+    assert main(args) == 0
+    for path in cache.rglob("*.maps"):
+        path.write_bytes(_seal(b"CLDPM0" + _unseal(path.read_bytes())[len(_MAPS_MAGIC):]))
+    capsys.readouterr()
+    assert main(args) == 2
+    rows = list(csv.reader((tmp_path / "c.csv").read_text(encoding="utf-8").splitlines()))
+    assert rows[1][:5] == ["CLBP_S", "8", "2", "synth-2x2-32px-seed3", "FAILED"]
+    assert (f"FAILED CLBP_S (8,2) synth-2x2-32px-seed3: corrupt cache entry for sample "
+            f"c00_train_000.pgm: bad maps magic\n") == capsys.readouterr().err
+
+
+def test_config_not_utf8_exits_1_citing_its_line(tmp_path, capsys):
+    cfg = _matrix_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes().replace(b"CLBP_S,", b"CLBP_S\xff,"))
+    assert main(["bench", str(cfg), "--quiet"]) == 1
+    assert f"{cfg}:1: not UTF-8: invalid start byte" in capsys.readouterr().err
 
 
 def test_extract_uses_cache_dir_env(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import shutil
+import struct
 import time
 
 import numpy as np
@@ -37,7 +38,7 @@ from cldp import (
 from cldp import suite as suite_module
 from cldp.histogram import _parse_scheme
 from cldp.sampler import OffsetSampler
-from cldp.suite import _WINDOW_PER_WORKER, atomic_writer, map_ordered
+from cldp.suite import _WINDOW_PER_WORKER, _seal, _unseal, atomic_writer, map_ordered
 from conftest import SharedLog, gray, random_8bit
 
 
@@ -203,13 +204,26 @@ def test_run_suite_cache_round_trip(tmp_path):
     assert uncached.to_json() == cold.to_json()
 
 
-def test_run_suite_corrupt_cache_names_sample(tmp_path):
+# A .maps entry damaged in one way, and the reason its CacheError gives. All
+# but the first keep a valid seal, so only the payload checks can catch them.
+_DAMAGED_MAPS = {
+    "unsealed": (lambda entry: b"not pattern maps", "truncated cache entry"),
+    "magic": (lambda entry: _seal(b"CLDPM0" + _unseal(entry)[6:]), "bad maps magic"),
+    "geometry": (lambda entry: _seal(_unseal(entry)[:6] + struct.pack("<I", 16)
+                                     + _unseal(entry)[10:]), "maps entry is for P=16, R=2.0"),
+    "length": (lambda entry: _seal(_unseal(entry) + b"\0"), "maps payload length mismatch"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGED_MAPS))
+def test_run_suite_corrupt_cache_names_sample(tmp_path, damage):
+    rewrite, reason = _DAMAGED_MAPS[damage]
     spec = _tiny_suite(tmp_path)
     cache_dir = tmp_path / "cache"
     run_suite(spec, "S", 8, 2.0, cache_dir=cache_dir)
     for path in cache_dir.rglob("*.maps"):
-        path.write_bytes(b"not pattern maps")
-    with pytest.raises(CacheError, match="corrupt cache entry for sample c0"):
+        path.write_bytes(rewrite(path.read_bytes()))
+    with pytest.raises(CacheError, match=f"corrupt cache entry for sample c0.*: {reason}"):
         run_suite(spec, "S", 8, 2.0, cache_dir=cache_dir)
 
 
@@ -478,6 +492,90 @@ def test_load_matrix_config_rejects_bad_input(tmp_path):
         load_matrix_config(cfg)
     cfg.write_text("schemes = S/Q\ngeometries = (8,2)\nsuites = tiny/suite.cfg\n")
     with pytest.raises(ValueError):
+        load_matrix_config(cfg)
+
+
+@pytest.mark.parametrize("geometries, want", [
+    ("( 8 , 3 )", ((8, 3.0),)),
+    ("(8,2) (8,3)", ((8, 2.0), (8, 3.0))),
+    ("\t(8,2),(16,2.5) ,\x0c(8,3)\x0b", ((8, 2.0), (16, 2.5), (8, 3.0))),
+    ("(8,2)(8,3)", ((8, 2.0), (8, 3.0))),
+])
+def test_load_matrix_config_reads_ascii_geometries(tmp_path, geometries, want):
+    _tiny_suite(tmp_path)
+    cfg = tmp_path / "m.matrix"
+    cfg.write_text(f"schemes = CLBP_S\ngeometries = {geometries}\nsuites = tiny/suite.cfg\n",
+                   encoding="utf-8", newline="")
+    assert load_matrix_config(cfg).geometries == want
+
+
+@pytest.mark.parametrize("geometries", [
+    "(8,\u20033)", "(\u00a08,3)", "(8,2)\u00a0(8,3)", "(8,3.)", "(8,+3)", "(8,1e1)", "(8,3,4)",
+    "((8,3))", "(8,3) x",
+])
+def test_load_matrix_config_reads_p_and_r_as_the_flags_do(tmp_path, geometries):
+    """P is read as -P is (ascii_int) and R as -R is (ascii_radius): ASCII
+    blanks around them are trimmed, a Unicode space is not."""
+    _tiny_suite(tmp_path)
+    cfg = tmp_path / "m.matrix"
+    cfg.write_text(f"schemes = CLBP_S\ngeometries = {geometries}\nsuites = tiny/suite.cfg\n",
+                   encoding="utf-8")
+    with pytest.raises(ConfigError, match="cannot parse geometries"):
+        load_matrix_config(cfg)
+
+
+def test_config_lines_keys_and_items_are_trimmed_of_ascii_blanks(tmp_path):
+    _tiny_suite(tmp_path)
+    cfg = tmp_path / "m.matrix"
+    cfg.write_text("\tschemes =\x0bCLBP_S ,\x0cCLDP_S/D\t\r\ngeometries = (8,2)\r"
+                   "suites = ,tiny/suite.cfg,\n", encoding="utf-8", newline="")
+    assert load_matrix_config(cfg).schemes == ("CLBP_S", "CLDP_S/D")
+
+
+@pytest.mark.parametrize("schemes, error", [
+    ("schemes\u00a0= CLBP_S", r"m\.matrix:1: unknown key 'schemes\\xa0'"),
+    ("schemes = CLBP_S,\u00a0CLDP_S/D", r"got '\\xa0'"),
+], ids=["key", "item"])
+def test_config_unicode_space_is_part_of_a_key_or_item(tmp_path, schemes, error):
+    """Config lines, keys, values and list items are trimmed of ASCII space,
+    tab, VT and FF only, as manifest fields are: U+00A0 stays part of the
+    key or the item, which then does not read."""
+    _tiny_suite(tmp_path)
+    cfg = tmp_path / "m.matrix"
+    cfg.write_text(f"{schemes}\ngeometries = (8,2)\nsuites = tiny/suite.cfg\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=error):
+        load_matrix_config(cfg)
+
+
+@pytest.mark.parametrize("loader", [load_suite_config, load_matrix_config])
+def test_config_not_utf8_cites_its_line(tmp_path, loader):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"# caf\xc3\xa9\r\nname = caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:2: not UTF-8: invalid continuation byte"):
+        loader(cfg)
+
+
+def test_config_unknown_key_cites_its_line(tmp_path):
+    """A key outside a loader's list, such as a misspelt count guard, is an
+    error rather than a key nobody reads."""
+    _tiny_suite(tmp_path)
+    suite_cfg = tmp_path / "tiny" / "suite.cfg"
+    text = suite_cfg.read_text(encoding="utf-8")
+    assert load_suite_config(suite_cfg).expected == (4, 4)
+    suite_cfg.write_text(text + "expected_trian = 999\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"suite\.cfg:8: unknown key 'expected_trian'"):
+        load_suite_config(suite_cfg)
+    suite_cfg.write_text("= x\n" + text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"suite\.cfg:1: unknown key ''"):
+        load_suite_config(suite_cfg)
+    cfg = tmp_path / "m.matrix"
+    cfg.write_text("schemes = CLBP_S\ngeometries = (8,2)\nsuites = tiny/suite.cfg\n"
+                   "schemse = CLDP_S_D\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"m\.matrix:4: unknown key 'schemse'"):
+        load_matrix_config(cfg)
+    cfg.write_text("schemes = CLBP_S\ngeometries = (8,2)\nsuites = tiny/suite.cfg\n"
+                   "format = native-csv\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"m\.matrix:4: unknown key 'format'"):
         load_matrix_config(cfg)
 
 
@@ -773,6 +871,59 @@ def test_run_suite_raises_the_error_run_matrix_records(tmp_path, split):
             run_suite(spec, "S/M", 8, 2.0, workers=workers)
         assert cell.error == str(raised.value)
         assert cell.error.startswith(f"sample {victim}: ")
+
+
+def test_summary_failure_fails_only_its_cells(tmp_path, monkeypatch):
+    """An error that no sample caused, here in summarizing a test pass in
+    the calling process, fails every cell of its (P, suite) and no other,
+    and run_suite raises it."""
+    suites = tuple(_tiny_suite(tmp_path, name=n, seed=seed) for n, seed in (("a", 3), ("b", 4)))
+    real_summarize = suite_module.summarize
+
+    def failing_summarize(truth, outcomes, models, *, suite, scheme):
+        if suite == suites[1].name:
+            raise RuntimeError("summary failed")
+        return real_summarize(truth, outcomes, models, suite=suite, scheme=scheme)
+
+    monkeypatch.setattr(suite_module, "summarize", failing_summarize)
+    matrix = ExperimentMatrix(schemes=("CLBP_S", "CLBP_S/M"), geometries=((8, 1.0), (8, 2.0)),
+                              suites=suites)
+    for cell in run_matrix(matrix).cells:
+        if cell.suite == suites[1].name:
+            assert (cell.accuracy, cell.error) == (None, "summary failed")
+        else:
+            assert cell.accuracy is not None and cell.error is None
+    with pytest.raises(RuntimeError, match="summary failed"):
+        run_suite(suites[1], "CLBP_S", 8, 2.0)
+
+
+def test_unreadable_shared_training_file_fails_only_its_suite(tmp_path):
+    """Two suites with one training label sequence have their splits hashed
+    to find whether they share one. A training file gone after the suites
+    loaded fails the cells of its suite, naming the sample; the other suite
+    trains on its own split and still classifies every test image."""
+    suites = tuple(_tiny_suite(tmp_path, name=n, seed=seed) for n, seed in (("a", 3), ("b", 4)))
+    assert [label for _, label in suites[0].train.entries] == [
+        label for _, label in suites[1].train.entries]
+    victim = suites[0].train.entries[1][0]
+    os.unlink(suites[0].train.abs_path(victim))
+    matrix = ExperimentMatrix(schemes=("CLBP_S/M/C",), geometries=((8, 2.0),), suites=suites)
+    for workers in (1, 2):
+        first, second = run_matrix(matrix, workers=workers).cells
+        assert first.accuracy is None and first.error.startswith(f"sample {victim}: ")
+        assert (second.suite, second.accuracy) == (suites[1].name, 1.0)
+
+
+def test_matrix_without_suites_renders_dashes():
+    """No suite ran, so no cell has a mean: '-' in every scheme's row and in
+    the Delta row."""
+    matrix = ExperimentMatrix(schemes=("CLBP_S", "CLDP_S/D"), geometries=((8, 2.0), (8, 3.0)),
+                              suites=())
+    report = run_matrix(matrix)
+    assert report.cells == () and not report.failed
+    assert [line.split() for line in report.to_table_text().splitlines()] == [
+        ["scheme", "(8,2)", "(8,3)"], ["CLBP_S", "-", "-"], ["CLDP_S/D", "-", "-"],
+        ["Delta(acc)", "-", "-"]]
 
 
 def _tree(top):
