@@ -23,19 +23,24 @@ from .histogram import FeatureHistogram, SparseHistogram
 def _bins_of(h):
     if isinstance(h, FeatureHistogram):
         return h.bins
+    if isinstance(h, SparseHistogram):
+        bins = np.zeros(h.size)
+        bins[h.indices] = h.values
+        return bins
     return np.asarray(h, dtype=np.float64)
 
 
 def chi_square(t, m) -> float:
     """Chi-square distance between two histograms of equal length.
 
-    Accepts FeatureHistogram or plain arrays; when both carry a scheme the
-    schemes must agree. Terms with a zero denominator (both bins zero for
-    non-negative histograms) contribute zero. The term list is reduced with
-    an exactly rounded sum, so padding both inputs with zero bins or
-    permuting bins in lockstep cannot change the value.
+    Accepts FeatureHistogram, SparseHistogram or plain arrays; when both
+    carry a scheme the schemes must agree. Terms with a zero denominator
+    (both bins zero for non-negative histograms) contribute zero. The term
+    list is reduced with an exactly rounded sum, so padding both inputs with
+    zero bins or permuting bins in lockstep cannot change the value.
     """
-    if isinstance(t, FeatureHistogram) and isinstance(m, FeatureHistogram):
+    kinds = (FeatureHistogram, SparseHistogram)
+    if isinstance(t, kinds) and isinstance(m, kinds):
         if t.scheme != m.scheme or t.P != m.P:
             raise ValueError(f"histogram schemes differ: {t.scheme}@{t.P} vs {m.scheme}@{m.P}")
     ta, ma = _bins_of(t), _bins_of(m)

@@ -274,14 +274,16 @@ def ascii_radius(text: str) -> float:
 
 
 def text_lines(path, error):
-    """The lines, ending at CRLF, CR or LF only, of UTF-8 text file path; a
-    byte that is not UTF-8 raises error citing its line."""
+    """The lines, ending at CRLF, CR or LF only, of UTF-8 text file path, less
+    a leading byte-order mark; a byte that is not UTF-8 raises error citing
+    its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return io.StringIO(data.decode("utf-8"), newline="")
+        return io.StringIO(data.decode("utf-8-sig"), newline="")
     except UnicodeDecodeError as err:
-        head = data[:err.start].decode("utf-8")
+        # err.object is the data after the mark, and err.start counts from it.
+        head = err.object[:err.start].decode("utf-8")
         lineno = 1 + head.count("\r") + head.count("\n") - head.count("\r\n")
         raise error(f"{path}:{lineno}: not UTF-8: {err.reason}") from None
 

@@ -13,11 +13,11 @@ scheme's histogram is built from those. Features are cached on disk keyed
 by image content hash, so reruns never decode or resample an image twice:
 
   <cache>/<key[:2]>/<key>.maps   pattern maps per (image, P, R)
-  <cache>/<key[:2]>/<key>.hist   histogram per (image, P, R, scheme),
-                                 written and read only by histogram_for_file
 
-Both kinds of cache entry end in a SHA-256 digest of their payload;
-corruption is a hard error naming the sample rather than a silent recompute.
+This is the one kind of entry that suite runs and cldp extract write and
+read; every scheme's histogram is built from it. An entry ends in a SHA-256
+digest of its payload; corruption is a hard error naming the sample rather
+than a silent recompute.
 """
 
 from __future__ import annotations
@@ -319,7 +319,8 @@ def _maps_from_bytes(payload: bytes, P: int, R: float) -> PatternMaps:
 
 
 class FeatureCache:
-    """Content-addressed store for pattern maps and histograms.
+    """Content-addressed store of pattern maps, one sealed .maps entry per
+    (image content, P, R), keyed by maps_key.
 
     Each <key[:2]> subdirectory is created by atomic_writer on the first
     store into it.
@@ -337,12 +338,6 @@ class FeatureCache:
         # norm=0 keeps the keys that earlier versions wrote their entries under.
         deriv = int(has_derivative(R))
         raw = f"{file_hash}|maps|P={P}|R={float(R)!r}|norm=0|deriv={deriv}"
-        return hashlib.sha256(raw.encode("ascii")).hexdigest()
-
-    @staticmethod
-    def hist_key(file_hash: str, P: int, R: float, scheme: SchemeExpr) -> str:
-        # "hist2": entries carry a digest; older unsealed entries are misses.
-        raw = f"{file_hash}|hist2|P={P}|R={float(R)!r}|scheme={scheme}|norm=0"
         return hashlib.sha256(raw.encode("ascii")).hexdigest()
 
     def _load(self, key: str, kind: str, sample: str, parse):
@@ -367,6 +362,9 @@ class FeatureCache:
     def store_maps(self, key: str, maps: PatternMaps) -> None:
         self._store(key, "maps", _maps_to_bytes(maps))
 
+    # load_hist and store_hist are not called, so no .hist entry is read or
+    # written; perfbench/tracer.py wraps cldp.suite.FeatureCache.load_hist
+    # and store_hist.
     def load_hist(self, key: str, scheme: SchemeExpr, sample: str) -> FeatureHistogram | None:
         return self._load(key, "hist", sample, lambda payload: histogram_from_bytes(payload, scheme))
 
@@ -403,12 +401,13 @@ def _raised(outcome):
 
 
 def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache | None,
-                   data=None, digest=None) -> list:
+                   digest=None) -> list:
     """Pattern maps of one image at P and each of radii, in order: the cached
     entry where there is one, else made by one extract_radii pass over the
-    radii that miss, and stored when a cache is given. The file is decoded
-    from data when given and read otherwise; with a cache it is keyed by
-    digest, and read and hashed here when digest is None.
+    radii that miss, and stored when a cache is given. With a cache the
+    entries are keyed by digest; when digest is None the file is read and
+    hashed here, and on a miss those same bytes are decoded. Without a
+    cache the file is read once, to decode it.
 
     A radius that fails has its error in place of its maps: the SuiteError
     naming the sample, or a CacheError. A file that cannot be read or
@@ -417,6 +416,7 @@ def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache |
     failed store fails its radius alone.
     """
     out = [None] * len(radii)
+    data = None
     if cache is not None:
         if digest is None:
             sample = _attempt(rel, lambda: _read_sample(abs_path))
@@ -448,29 +448,18 @@ def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache |
 
 def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: float,
                        cache: FeatureCache | None = None) -> FeatureHistogram:
-    """Histogram for one image file, going through the cache when given.
+    """Histogram for one image file: the per-image path of ``cldp extract``.
 
     rel is the name used in error messages and cache diagnostics (usually the
-    manifest-relative path). This is the per-image path of ``cldp extract``,
-    the only user of ``.hist`` entries; suite runs build every scheme's
-    histogram from one set of maps instead. The file is read once; it is
-    hashed only to key a cache. A bad (scheme, P, R) raises ValueError
+    manifest-relative path). The histogram is built from the image's maps at
+    (P, R), which come from the cache's .maps entry when a cache is given
+    and has one (_maps_for_file), as in suite runs. The file is read once;
+    it is hashed only to key a cache. A bad (scheme, P, R) raises ValueError
     before the file is read; a bad file raises SuiteError naming rel.
     """
     check_scheme(scheme, P, R)
-    data = digest = hkey = None
-    if cache is not None:
-        data, digest = _raised(_attempt(rel, lambda: _read_sample(abs_path)))
-        if float(R).is_integer():
-            hkey = cache.hist_key(digest, P, R, scheme)
-            hist = _raised(_attempt(rel, lambda: cache.load_hist(hkey, scheme, rel)))
-            if hist is not None:
-                return hist
-    maps, = _maps_for_file(rel, abs_path, P, (R,), cache, data, digest)
-    hist = build_histogram(_raised(maps), scheme)
-    if hkey is not None:
-        _raised(_attempt(rel, lambda: cache.store_hist(hkey, hist)))
-    return hist
+    maps, = _maps_for_file(rel, abs_path, P, (R,), cache)
+    return build_histogram(_raised(maps), scheme)
 
 
 def _files(manifest, digests=None) -> list:

@@ -14,7 +14,7 @@ from cldp import (
     extract_maps,
     parse_scheme,
 )
-from cldp.classifier import _GATHER_ELEMENTS, _nearest, predict
+from cldp.classifier import _GATHER_ELEMENTS, _nearest, predict, summarize
 from conftest import gray, traced_peak
 from naive import naive_model_distances
 
@@ -143,6 +143,14 @@ def test_evaluate_validates_length():
         evaluate([([0.5], 0)], models)
     with pytest.raises(ValueError, match="length"):
         evaluate([([0.5, 0.5, 0.0], 0), ([0.5, 0.5], 1)], models)
+
+
+def test_summarize_validates_counts():
+    models = ModelSet([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    with pytest.raises(ValueError, match="^nothing to evaluate$"):
+        summarize([], [], models)
+    with pytest.raises(ValueError, match="^1 outcomes for 2 test samples$"):
+        summarize([0, 1], [(0, False)], models)
 
 
 def _check_search(query, models, matrix):
@@ -443,3 +451,24 @@ def test_model_set_from_sparse_rows_equals_dense():
         bad = hists[0].sparse()
         with pytest.raises(ValueError, match="model 1 histogram length 3 is not"):
             ModelSet([bad, np.ones(3)], [0, 1])
+
+
+def test_sparse_histogram_query_equals_dense_bitwise():
+    """A SparseHistogram is a query and a chi_square operand wherever a
+    SparseHistogram model is accepted: the same label, index and distance,
+    bitwise, as its FeatureHistogram; the scheme check covers it."""
+    rng = np.random.default_rng(13)
+    scheme = parse_scheme("S/M/C")
+    hists = [build_histogram(extract_maps(gray(np.floor(rng.uniform(0, 256, (20, 24)))), 8, 2.0),
+                             scheme) for _ in range(5)]
+    models = ModelSet([h.sparse() for h in hists[1:]], [1, 2, 3, 4])
+    query = hists[0]
+    assert classify(query.sparse(), models) == classify(query, models)
+    assert predict(query.sparse(), models) == predict(query, models)
+    for other in (hists[1], hists[1].sparse(), hists[1].bins):
+        assert chi_square(query.sparse(), other) == chi_square(query, hists[1])
+        assert chi_square(other, query.sparse()) == chi_square(hists[1], query)
+    m_only = build_histogram(extract_maps(gray(np.floor(rng.uniform(0, 256, (20, 24)))), 8, 2.0),
+                             parse_scheme("M/S/C"))
+    with pytest.raises(ValueError, match="histogram schemes differ"):
+        chi_square(query.sparse(), m_only)

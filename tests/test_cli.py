@@ -149,8 +149,11 @@ def test_extract_rejects_derivative_at_r1(tmp_path, capsys):
 EXTRACT_CSV_SHA256 = "c962c4920dad98e0b1388007096c2a2a3851b8caa66d52b9d957bc4d226cb47b"
 
 
-@pytest.mark.parametrize("to", ["stdout", "out"])
-def test_extract_csv_bytes_are_pinned(tmp_path, capsysbinary, to):
+@pytest.mark.parametrize("to", ["stdout", "out", "cache"])
+def test_extract_csv_bytes_are_pinned(tmp_path, capsysbinary, monkeypatch, to):
+    """The same bytes to stdout, to --out, and through a cache, cold and
+    warm; a cache holds .maps entries only."""
+    monkeypatch.delenv("CLDP_CACHE_DIR", raising=False)
     spec = make_synthetic_suite(tmp_path / "suite", seed=7, classes=3,
                                 samples_per_class=2, size=32)
     manifest = tmp_path / "all.csv"
@@ -161,13 +164,20 @@ def test_extract_csv_bytes_are_pinned(tmp_path, capsysbinary, to):
     out = tmp_path / "out.csv"
     if to == "out":
         args += ["--out", str(out)]
-    assert main(args) == 0
-    data = capsysbinary.readouterr().out
-    if to == "out":
-        assert data == b""
-        data = out.read_bytes()
-    assert data.count(b"\n") == 12
-    assert hashlib.sha256(data).hexdigest() == EXTRACT_CSV_SHA256
+    cache_dir = tmp_path / "cache"
+    if to == "cache":
+        args += ["--cache-dir", str(cache_dir)]
+    for run in ("cold", "warm") if to == "cache" else ("once",):
+        assert main(args) == 0
+        data = capsysbinary.readouterr().out
+        if to == "out":
+            assert data == b""
+            data = out.read_bytes()
+        assert data.count(b"\n") == 12
+        assert hashlib.sha256(data).hexdigest() == EXTRACT_CSV_SHA256, run
+    if to == "cache":
+        entries = [p for p in cache_dir.rglob("*") if p.is_file()]
+        assert len(entries) == 12 and all(p.suffix == ".maps" for p in entries)
 
 
 @pytest.mark.parametrize("with_cache", [False, True])
@@ -383,7 +393,8 @@ def test_extract_uses_cache_dir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CLDP_CACHE_DIR", str(cache_dir))
     assert main(["extract", str(img), "-R", "2"]) == 0
     capsys.readouterr()
-    assert list(cache_dir.rglob("*.hist"))
+    assert list(cache_dir.rglob("*.maps"))
+    assert not list(cache_dir.rglob("*.hist"))
 
 
 def _synth(tmp_path, **kw):
@@ -434,6 +445,11 @@ def test_classify_config_conflicts_with_manifests(tmp_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
     assert main(["classify", "--train", "x.csv"]) == 1
     assert "--config or both" in capsys.readouterr().err
+    root = tmp_path / "suite"
+    assert main(["classify", "--train", str(root / "train.csv"), "--test", str(root / "a.list"),
+                 "--root", str(root / "images")]) == 1
+    assert (f"cannot infer manifest format of {root / 'a.list'}; pass --manifest-format"
+            in capsys.readouterr().err)
 
 
 def test_classify_missing_dataset_root_exits_2(tmp_path, capsys):

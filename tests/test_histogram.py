@@ -229,6 +229,11 @@ def test_binary_rejects_corruption():
         histogram_from_bytes(b"XXXX" + blob[4:], scheme)
     with pytest.raises(ValueError):
         histogram_from_bytes(blob[:-8], scheme)
+    # After the 6-byte magic: P, R and the group count, then one dim per group.
+    with pytest.raises(ValueError, match="^truncated histogram header$"):
+        histogram_from_bytes(blob[:6 + 11], scheme)
+    with pytest.raises(ValueError, match="^truncated histogram group dims$"):
+        histogram_from_bytes(blob[:6 + 12 + 3], scheme)
     with pytest.raises(ValueError, match="match scheme"):
         histogram_from_bytes(blob, parse_scheme("S/M"))
 

@@ -80,6 +80,15 @@ def test_load_pgm_header_numbers_are_ascii_digits(width):
         parse_pgm(b"P5\n" + width + b" 1\n255\n" + bytes(10))
 
 
+@pytest.mark.parametrize("data, error", [
+    (b"P5\n2 2\n", "unexpected end of header at byte 7"),
+    (b"P5\n0 4\n255\n", "bad dimensions 0x4"),
+], ids=["header-end", "zero-width"])
+def test_parse_pgm_rejects_a_bad_header(data, error):
+    with pytest.raises(FormatError, match=f"^{error}$"):
+        parse_pgm(data)
+
+
 def test_load_pgm_truncated_names_offset(tmp_path):
     p = write_bytes(tmp_path / "a.pgm", b"P5\n2 2\n255\n" + bytes(3))
     with pytest.raises(FormatError, match="byte"):
@@ -123,12 +132,28 @@ def test_load_bmp8_luma_palette(tmp_path):
     assert load_image(p).pixels.tolist() == [[76.0]]
 
 
-def test_load_bmp8_rejects_compression(tmp_path):
-    data = bytearray(make_bmp8(1, 1, [[0]], [(0, 0, 0)]))
-    data[30] = 1  # BI_RLE8
-    p = write_bytes(tmp_path / "a.bmp", bytes(data))
-    with pytest.raises(FormatError, match="compression"):
-        load_image(p)
+_ONE_PIXEL_BMP = make_bmp8(1, 1, [[0]], [(0, 0, 0)])  # 62 bytes, one palette entry
+
+
+def _patched_bmp(offset, fmt, value) -> bytes:
+    """_ONE_PIXEL_BMP with the field at offset set to value."""
+    data = bytearray(_ONE_PIXEL_BMP)
+    struct.pack_into(fmt, data, offset, value)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("data, error", [
+    (_patched_bmp(0, "<2s", b"BX"), r"not a BMP \(magic b'BX' at byte 0\)"),
+    (_ONE_PIXEL_BMP[:53], "truncated BMP header: 53 bytes"),
+    (_patched_bmp(14, "<I", 12), "unsupported DIB header size 12"),
+    (_patched_bmp(28, "<H", 24), r"unsupported bit depth 24 \(8-bit palette only\)"),
+    (_patched_bmp(30, "<I", 1), "unsupported compression mode 1"),  # BI_RLE8
+    (_patched_bmp(18, "<i", 0), "bad dimensions 0x1"),
+    (_patched_bmp(46, "<I", 0), "truncated palette at byte 54"),  # 0 entries: 256
+], ids=["magic", "short", "dib-header", "bit-depth", "compression", "zero-width", "palette"])
+def test_parse_bmp8_rejects_a_bad_header(data, error):
+    with pytest.raises(FormatError, match=f"^{error}$"):
+        parse_bmp8(data)
 
 
 def test_parse_bmp8_rejects_palette_over_256_entries():
@@ -244,8 +269,17 @@ def test_load_manifest_reads_utf8_and_cites_the_line_of_other_bytes(tmp_path):
     m = tmp_path / "m.csv"
     m.write_bytes("a.pgm,0\n\u00e9.pgm,1\n".encode("utf-8"))
     assert load_manifest(m, tmp_path, "native-csv").entries == (("a.pgm", 0), ("\u00e9.pgm", 1))
+    # A leading byte-order mark, as Excel's "CSV UTF-8" writes, is not part
+    # of the first sample's name; one further on is.
+    m.write_bytes("\ufeffa.pgm,0\n".encode("utf-8"))
+    assert load_manifest(m, tmp_path, "native-csv").entries == (("a.pgm", 0),)
+    m.write_bytes("a.pgm,0\n\ufeffa.pgm,1\n".encode("utf-8"))
+    with pytest.raises(ManifestError,
+                       match=re.escape(f"{m}:2: cannot resolve sample '\\ufeffa.pgm'")):
+        load_manifest(m, tmp_path, "native-csv")
     for data, line in ((b"a.pgm,0\n\xe9.pgm,1\n", 2), (b"\xff,0\r\na.pgm,1\n", 1),
-                       (b"a.pgm,0\r\rb\xc3.pgm,1\n", 3)):
+                       (b"a.pgm,0\r\rb\xc3.pgm,1\n", 3), (b"\xef\xbb\xbfa.pgm,0\n\xe9.pgm,1\n", 2),
+                       (b"\xef\xbb\xbf\xff,0\n", 1)):
         m.write_bytes(data)
         with pytest.raises(ManifestError, match=f"^{m}:{line}: not UTF-8"):
             load_manifest(m, tmp_path, "native-csv")
@@ -313,6 +347,16 @@ def test_load_manifest_bad_count_line_cites_line(tmp_path, count):
     m = tmp_path / "m.txt"
     m.write_text(f"{count}\nx.pgm 0\ny.pgm 1\n", encoding="utf-8")
     with pytest.raises(ManifestError, match=f"^{m}:1: bad count line "):
+        load_manifest(m, tmp_path, "outex-index")
+
+
+def test_load_manifest_rejects_an_unknown_format_and_a_third_outex_field(tmp_path):
+    touch_images(tmp_path, ["x.pgm"])
+    m = tmp_path / "m.txt"
+    m.write_text("x.pgm 0 1\n")
+    with pytest.raises(ManifestError, match="^unknown manifest format 'csv'$"):
+        load_manifest(m, tmp_path, "csv")
+    with pytest.raises(ManifestError, match=f"^{m}:1: expected 'name label'$"):
         load_manifest(m, tmp_path, "outex-index")
 
 

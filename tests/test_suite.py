@@ -77,6 +77,8 @@ def test_suite_spec_validates_labels_and_counts(tmp_path):
         SuiteSpec("s", train, train, expected=(5, 2))
     ok = SuiteSpec("s", train, train, expected=(2, 2))
     assert ok.name == "s"
+    with pytest.raises(ValueError, match="^suite needs a name$"):
+        SuiteSpec("", train, train)
 
 
 def test_load_suite_config_happy_path(tmp_path):
@@ -232,7 +234,7 @@ def test_feature_cache_rejects_flipped_histogram_bit(tmp_path):
     scheme = parse_scheme("S/M")
     hist = build_histogram(extract_maps(gray(random_8bit(rng, 20, 20)), 8, 2.0), scheme)
     cache = FeatureCache(tmp_path / "cache")
-    key = cache.hist_key("f" * 64, 8, 2.0, scheme)
+    key = "f" * 64
     cache.store_hist(key, hist)
     path = tmp_path / "cache" / key[:2] / f"{key}.hist"
     data = bytearray(path.read_bytes())
@@ -282,10 +284,6 @@ def test_feature_cache_keys_separate_variants():
         "44fdd4928d897251680d3897949a891f69d54e4f98b723796342ad4d4f85bdc1"
     assert FeatureCache.maps_key(h, 8, 1.0) == \
         "ff15b7e2f7b3e6828f7cb5e45367fcf594c79da0baf2072b77f5af7d085b86d2"
-    assert FeatureCache.hist_key(h, 8, 3.0, parse_scheme("S/M/D/C")) == \
-        "ed3922bcb139d9f9828367a433a04376fcf1be360d90561d64ca10967633b439"
-    s = parse_scheme("S")
-    assert FeatureCache.hist_key(h, 8, 2.0, s) != FeatureCache.hist_key(h, 8, 2.0, parse_scheme("M"))
 
 
 def test_cache_key_formats_radius_as_float(tmp_path):
@@ -297,7 +295,7 @@ def test_cache_key_formats_radius_as_float(tmp_path):
     as_float = histogram_for_file(rel, spec.train.abs_path(rel), scheme, 8, 3.0, cache)
     assert as_int.bins.tobytes() == as_float.bins.tobytes()
     assert len(list((tmp_path / "cache").rglob("*.maps"))) == 1
-    assert len(list((tmp_path / "cache").rglob("*.hist"))) == 1
+    assert not list((tmp_path / "cache").rglob("*.hist"))
 
 
 def test_each_sample_is_read_once(tmp_path, monkeypatch):
@@ -493,6 +491,34 @@ def test_load_matrix_config_rejects_bad_input(tmp_path):
     cfg.write_text("schemes = S/Q\ngeometries = (8,2)\nsuites = tiny/suite.cfg\n")
     with pytest.raises(ValueError):
         load_matrix_config(cfg)
+    cfg.write_text("schemes = , \ngeometries = (8,2)\nsuites = tiny/suite.cfg\n")
+    with pytest.raises(ConfigError, match="no schemes listed"):
+        load_matrix_config(cfg)
+    cfg.write_text("schemes = S\ngeometries = (8,2)\nsuites = ,\n")
+    with pytest.raises(ConfigError, match="no suites listed"):
+        load_matrix_config(cfg)
+
+
+def test_config_comment_and_blank_lines_are_skipped(tmp_path):
+    _tiny_suite(tmp_path)
+    cfg = tmp_path / "m.matrix"
+    cfg.write_text("# a matrix\n\n  # indented comment\t\nschemes = CLBP_S\n \t\n"
+                   "geometries = (8,2)\r\n\r\nsuites = tiny/suite.cfg\n#\n", encoding="utf-8")
+    matrix = load_matrix_config(cfg)
+    assert (matrix.schemes, matrix.geometries) == (("CLBP_S",), ((8, 2.0),))
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_every_shipped_config_parses(monkeypatch, name):
+    """Each file under configs/ reads as a config: without OUTEX_ROOT its
+    only error is the absent dataset."""
+    monkeypatch.delenv("OUTEX_ROOT", raising=False)
+    loader = load_suite_config if name.endswith(".suite") else load_matrix_config
+    with pytest.raises(DatasetError, match="does not exist"):
+        loader(os.path.join(CONFIGS, name))
 
 
 @pytest.mark.parametrize("geometries, want", [
@@ -553,6 +579,20 @@ def test_config_not_utf8_cites_its_line(tmp_path, loader):
     cfg.write_bytes(b"# caf\xc3\xa9\r\nname = caf\xe9\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:2: not UTF-8: invalid continuation byte"):
         loader(cfg)
+
+
+def test_config_leading_byte_order_mark_is_not_part_of_the_first_key(tmp_path):
+    _tiny_suite(tmp_path)
+    suite_cfg = tmp_path / "tiny" / "suite.cfg"
+    suite_cfg.write_bytes(b"\xef\xbb\xbf" + suite_cfg.read_bytes())
+    assert load_suite_config(suite_cfg).expected == (4, 4)
+    cfg = tmp_path / "m.matrix"
+    cfg.write_text("\ufeffschemes = CLBP_S\ngeometries = (8,2)\nsuites = tiny/suite.cfg\n",
+                   encoding="utf-8")
+    assert load_matrix_config(cfg).schemes == ("CLBP_S",)
+    cfg.write_bytes(b"\xef\xbb\xbfschemes = CLBP_S\ngeometries = (8,2)\xff\n")
+    with pytest.raises(ConfigError, match=r"m\.matrix:2: not UTF-8"):
+        load_matrix_config(cfg)
 
 
 def test_config_unknown_key_cites_its_line(tmp_path):
