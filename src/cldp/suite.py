@@ -446,20 +446,21 @@ def _maps_for_file(rel: str, abs_path: str, P: int, radii, cache: FeatureCache |
     return out
 
 
-def histogram_for_file(rel: str, abs_path: str, scheme: SchemeExpr, P: int, R: float,
+def histogram_for_file(rel: str, abs_path: str, scheme: str | SchemeExpr, P: int, R: float,
                        cache: FeatureCache | None = None) -> FeatureHistogram:
     """Histogram for one image file: the per-image path of ``cldp extract``.
 
     rel is the name used in error messages and cache diagnostics (usually the
-    manifest-relative path). The histogram is built from the image's maps at
+    manifest-relative path). scheme may be a string or a parsed SchemeExpr,
+    as in run_suite. The histogram is built from the image's maps at
     (P, R), which come from the cache's .maps entry when a cache is given
     and has one (_maps_for_file), as in suite runs. The file is read once;
     it is hashed only to key a cache. A bad (scheme, P, R) raises ValueError
     before the file is read; a bad file raises SuiteError naming rel.
     """
-    check_scheme(scheme, P, R)
+    expr = check_scheme(scheme, P, R)
     maps, = _maps_for_file(rel, abs_path, P, (R,), cache)
-    return build_histogram(_raised(maps), scheme)
+    return build_histogram(_raised(maps), expr)
 
 
 def _files(manifest, digests=None) -> list:

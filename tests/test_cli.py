@@ -405,18 +405,25 @@ def _synth(tmp_path, **kw):
     return make_synthetic_suite(tmp_path / "suite", **kw)
 
 
-def test_classify_adhoc_manifests_json(tmp_path, capsys):
+@pytest.mark.parametrize("P, R", [(8, 2), (24, 3)])
+def test_classify_adhoc_manifests_json(tmp_path, capsys, P, R):
+    """The report, at P=24 too, where most bins are used by no model; its
+    bytes do not depend on the worker count."""
     _synth(tmp_path)
     root = tmp_path / "suite"
-    assert main([
-        "classify",
-        "--train", str(root / "train.csv"),
-        "--test", str(root / "test.csv"),
-        "--root", str(root / "images"),
-        "--name", "demo",
-        "-P", "8", "-R", "2", "--format", "json",
-    ]) == 0
-    report = json.loads(capsys.readouterr().out)
+    out = []
+    for workers in (1, 2):
+        assert main([
+            "classify",
+            "--train", str(root / "train.csv"),
+            "--test", str(root / "test.csv"),
+            "--root", str(root / "images"),
+            "--name", "demo",
+            "-P", str(P), "-R", str(R), "--format", "json", "--workers", str(workers),
+        ]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+    report = json.loads(out[0])
     assert report["suite"] == "demo"
     assert report["accuracy"] == 1.0
     assert set(report) == {
@@ -491,8 +498,14 @@ def test_bench_writes_table_and_csv(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_bench_outputs_identical_across_workers_and_cache(tmp_path, capsys):
-    cfg = _matrix_config(tmp_path)
+@pytest.mark.parametrize("schemes, geometries", [
+    ("CLBP_S, CLDP_S/D", "(8,2)"),
+    ("CLBP_S/M/C, CLBP_S_M/C", "(8,1), (8,2), (8,3)"),
+], ids=["one-radius", "three-radii"])
+def test_bench_outputs_identical_across_workers_and_cache(tmp_path, capsys, schemes, geometries):
+    """Cells and table do not depend on the worker count, nor on whether the
+    maps come from the cache; the radii of one P are extracted together."""
+    cfg = _matrix_config(tmp_path, schemes, geometries)
 
     def run(tag, extra):
         table = tmp_path / f"{tag}.table"
@@ -510,6 +523,23 @@ def test_bench_outputs_identical_across_workers_and_cache(tmp_path, capsys):
     assert run("w2-cold", ["--workers", "2", "--cache-dir", cache]) == base
     assert run("w2-warm", ["--workers", "2", "--cache-dir", cache]) == base
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bench_one_cell_csv_is_classify_csv(tmp_path, capsys, workers):
+    """classify is bench's one-cell case: a one-suite, one-scheme,
+    one-geometry matrix writes classify's CSV, whatever the worker count."""
+    cfg = _matrix_config(tmp_path, schemes="CLDP_S/M/D/C")
+    cells = tmp_path / "cells.csv"
+    assert main(["bench", str(cfg), "--quiet", "--workers", str(workers),
+                 "--out", str(cells)]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--config", str(tmp_path / "suite" / "suite.cfg"),
+                 "--scheme", "CLDP_S/M/D/C", "-P", "8", "-R", "2", "--format", "csv",
+                 "--workers", str(workers)]) == 0
+    row = capsys.readouterr().out
+    assert row.splitlines()[1].startswith("CLDP_S/M/D/C,8,2,synth-2x2-32px-seed3,")
+    assert cells.read_text(encoding="utf-8") == row
 
 
 @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
@@ -704,11 +734,11 @@ def test_usage_errors_exit_1(capsys):
         assert "--normalize" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["geometries", "expected_train", "--workers", "-P", "-R",
-                                   "-R 1e1", "-R 3_0"])
+@pytest.mark.parametrize("where", ["geometries", "expected_train", "label", "--workers", "-P",
+                                   "-R", "-R 1e1", "-R 3_0"])
 def test_digits_of_other_scripts_are_usage_errors(tmp_path, capsys, where):
-    """An integer read from a config file or a flag is ASCII digits, as a
-    manifest label is, and a radius ASCII digits with an optional fraction:
+    """An integer read from a config file, a manifest label or a flag is
+    ASCII digits, and a radius ASCII digits with an optional fraction:
     Arabic-Indic digits, which int(), float() and \\d take, exit 1, and so do
     the exponent and the '_' that float() takes."""
     where, _, radius = where.partition(" ")
@@ -723,7 +753,10 @@ def test_digits_of_other_scripts_are_usage_errors(tmp_path, capsys, where):
     matrix = tmp_path / "m.matrix"
     matrix.write_text(f"schemes = CLBP_S\ngeometries = {geometries}\nsuites = suite/suite.cfg\n",
                       encoding="utf-8")
-    argv = {"--workers": ["bench", str(matrix), "--quiet", "--workers", "\u0662"],
+    manifest = tmp_path / "digits.csv"
+    manifest.write_text("c00_train_000.pgm,\u0663\n", encoding="utf-8")
+    argv = {"label": ["extract", str(manifest), "--root", str(tmp_path / "suite" / "images")],
+            "--workers": ["bench", str(matrix), "--quiet", "--workers", "\u0662"],
             "-P": ["enumerate-codes", "-P", "\u0668"],
             "-R": ["extract", str(tmp_path / "suite" / "images" / "c00_train_000.pgm"),
                    "-R", radius or "\u0663"]}.get(where, ["bench", str(matrix), "--quiet"])
@@ -732,7 +765,7 @@ def test_digits_of_other_scripts_are_usage_errors(tmp_path, capsys, where):
     except SystemExit as exc:  # argparse rejects a flag
         rc = exc.code
     assert rc == 1
-    assert {"-R": "R must be"}.get(where, where) in capsys.readouterr().err
+    assert {"-R": "R must be", "label": "bad label"}.get(where, where) in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

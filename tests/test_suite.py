@@ -326,6 +326,19 @@ def test_each_sample_is_read_once(tmp_path, monkeypatch):
         opened.clear()
 
 
+def test_histogram_for_file_takes_a_scheme_string(tmp_path):
+    """A scheme string gives the bins of its parsed form, as run_suite's
+    scheme does, with and without a cache (cold, then warm)."""
+    spec = _tiny_suite(tmp_path)
+    rel = spec.train.entries[0][0]
+    path = spec.train.abs_path(rel)
+    want = histogram_for_file(rel, path, parse_scheme("S/M"), 8, 2.0)
+    for cache in (None, FeatureCache(tmp_path / "cache"), FeatureCache(tmp_path / "cache")):
+        got = histogram_for_file(rel, path, "S/M", 8, 2.0, cache)
+        assert got.bins.tobytes() == want.bins.tobytes()
+        assert got.scheme == want.scheme
+
+
 def test_histogram_for_file_missing_file(tmp_path):
     with pytest.raises(SuiteError, match="gone.pgm"):
         histogram_for_file("gone.pgm", str(tmp_path / "gone.pgm"),
